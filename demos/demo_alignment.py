@@ -5,6 +5,9 @@ corpus, fits the alignment map two ways (ridge closed form and full-batch
 gradient descent), and writes the 2-d projection CSV used for plotting.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from lingualchemy import (ALL_FEATURE_SETS, ClosedForm, ConstantScaling,
@@ -54,5 +57,6 @@ pred_gap = np.abs(align_representations(closed, data.reps)
 print(f"mean prediction gap between the two fits: {pred_gap:.4f}")
 
 aligned = align_representations(closed, data.reps)
-export_alignment_pca(aligned, data.targets, data.langs, "alignment_pca.csv")
-print("wrote alignment_pca.csv (kind,lang,pc1,pc2) for external plotting")
+pca_path = Path(tempfile.mkdtemp(prefix="lingualchemy_demo_")) / "alignment_pca.csv"
+export_alignment_pca(aligned, data.targets, data.langs, pca_path)
+print(f"wrote {pca_path} (kind,lang,pc1,pc2) for external plotting")

@@ -8,8 +8,8 @@ multilingual corpus generator, and an experiment harness with a CLI.
 
 from .alchemy import (AlchemyModel, AlchemyScale, AlchemyTune, ConstantScaling,
                       LossBreakdown, alchemy_scale_init, alchemy_scale_update,
-                      alchemy_tune_loss, init_alchemy_model, project_to_uriel,
-                      total_loss, train_loop, train_step, uriel_loss)
+                      combine_losses, init_alchemy_model, project_to_uriel,
+                      train_loop, train_step, uriel_loss)
 from .alignment import (AlignmentFit, ClosedForm, GradientDescent,
                         SentenceRepSet, align_representations,
                         collect_sentence_reps, fit_alignment, r_squared)

@@ -18,7 +18,7 @@ Inference is language-agnostic: the store is consulted only while training.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -107,33 +107,35 @@ def _raw_unit_lambda() -> Tensor:
 
 def alchemy_scale_init(l_cls_0: float, l_uriel_0: float,
                        decay: float = 0.9, update_period: int = 100) -> AlchemyScale:
-    """Weights set relative to the mean of the initial losses, so both
-    scaled terms start equal: lambda_i = mean(l_0)/l_i_0."""
-    if l_cls_0 <= 0 or l_uriel_0 <= 0:
-        raise NumericError("initial losses must be positive to balance weights")
-    mean0 = (l_cls_0 + l_uriel_0) / 2.0
-    state = AlchemyScale(decay=decay, update_period=update_period)
-    state.ema_cls = l_cls_0
-    state.ema_uriel = l_uriel_0
-    state.lambda_cls = mean0 / l_cls_0
-    state.lambda_uriel = mean0 / l_uriel_0
-    return state
+    """A fresh state set up from the initial losses."""
+    return alchemy_scale_update(AlchemyScale(decay=decay, update_period=update_period),
+                                l_cls_0, l_uriel_0)
 
 
 def alchemy_scale_update(state: AlchemyScale, l_cls: float, l_uriel: float) -> AlchemyScale:
-    """EMA the losses every step; recompute lambdas every update_period steps."""
+    """Feed one step's losses into the state.
+
+    A fresh state is set up from the first losses it sees, without advancing
+    ``step``: weights are set relative to their mean, so both scaled terms
+    start equal (lambda_i = mean(l_0)/l_i_0). After that the losses are
+    EMA'd every step and the weights recomputed every update_period steps.
+    """
     if not isinstance(state, AlchemyScale):
         raise TypeError(f"expected AlchemyScale state, got {type(state).__name__}")
-    if not state.initialized:
-        raise ValueError("AlchemyScale state not initialized; call alchemy_scale_init")
-    b = state.decay
-    state.ema_cls = b * state.ema_cls + (1.0 - b) * l_cls
-    state.ema_uriel = b * state.ema_uriel + (1.0 - b) * l_uriel
-    state.step += 1
-    if state.step % state.update_period == 0:
-        mean_ema = (state.ema_cls + state.ema_uriel) / 2.0
-        state.lambda_cls = mean_ema / state.ema_cls
-        state.lambda_uriel = mean_ema / state.ema_uriel
+    if state.initialized:
+        b = state.decay
+        state.ema_cls = b * state.ema_cls + (1.0 - b) * l_cls
+        state.ema_uriel = b * state.ema_uriel + (1.0 - b) * l_uriel
+        state.step += 1
+        if state.step % state.update_period != 0:
+            return state
+    else:
+        if l_cls <= 0 or l_uriel <= 0:
+            raise NumericError("initial losses must be positive to balance weights")
+        state.ema_cls, state.ema_uriel = l_cls, l_uriel
+    mean_ema = (state.ema_cls + state.ema_uriel) / 2.0
+    state.lambda_cls = mean_ema / state.ema_cls
+    state.lambda_uriel = mean_ema / state.ema_uriel
     return state
 
 
@@ -156,49 +158,32 @@ class LossBreakdown:
                 repr(self.lambda_cls), repr(self.lambda_uriel), mini, repr(self.total)]
 
 
-def total_loss(l_cls: float, l_uriel: float, scaling: ScalingState) -> LossBreakdown:
-    """Combine already-evaluated loss values under a scaling policy."""
-    if l_cls < 0 or l_uriel < 0:
-        raise ValueError("losses must be nonnegative")
-    lam_c, lam_u = scaling.lambdas
-    mini = None
-    total = lam_c * l_cls + lam_u * l_uriel
-    if isinstance(scaling, AlchemyTune):
-        mini = ((lam_c + lam_u) - 2.0) ** 2
-        total = total + mini
-    return LossBreakdown(l_cls=l_cls, l_uriel=l_uriel, lambda_cls=lam_c,
-                         lambda_uriel=lam_u, total=total, mini_loss=mini)
-
-
-def alchemy_tune_loss(l_cls_t: Tensor, l_uriel_t: Tensor,
-                      state: AlchemyTune) -> tuple[Tensor, LossBreakdown]:
-    """Trainable-weights combination; gradients flow into the raw scalars."""
-    if not isinstance(state, AlchemyTune):
-        raise TypeError(f"expected AlchemyTune state, got {type(state).__name__}")
-    lam_c = ad.softplus(state.raw_cls)
-    lam_u = ad.softplus(state.raw_uriel)
-    drift = ad.add(ad.add(lam_c, lam_u), -2.0)
-    mini = ad.mul(drift, drift)
-    total_t = ad.add(ad.add(ad.mul(lam_c, l_cls_t), ad.mul(lam_u, l_uriel_t)), mini)
-    breakdown = LossBreakdown(
-        l_cls=l_cls_t.item(), l_uriel=l_uriel_t.item(),
-        lambda_cls=lam_c.item(), lambda_uriel=lam_u.item(),
-        total=total_t.item(), mini_loss=mini.item(),
-    )
-    return total_t, breakdown
-
-
 def combine_losses(l_cls_t: Tensor, l_uriel_t: Tensor,
                    scaling: ScalingState) -> tuple[Tensor, LossBreakdown]:
-    """Graph-side combination used by the training step."""
+    """``lambda_cls * task + lambda_uriel * aux`` as a graph node.
+
+    Under AlchemyTune the weights are softplus nodes of the raw scalars, so
+    gradients flow into them, and the drift penalty
+    ``((lambda_cls + lambda_uriel) - 2)^2`` is added to the total.
+    """
+    l_cls, l_uriel = l_cls_t.item(), l_uriel_t.item()
+    if l_cls < 0 or l_uriel < 0:
+        raise ValueError("losses must be nonnegative")
+    mini = None
     if isinstance(scaling, AlchemyTune):
-        return alchemy_tune_loss(l_cls_t, l_uriel_t, scaling)
-    lam_c, lam_u = scaling.lambdas
-    total_t = ad.add(ad.scale(l_cls_t, lam_c), ad.scale(l_uriel_t, lam_u))
-    breakdown = LossBreakdown(
-        l_cls=l_cls_t.item(), l_uriel=l_uriel_t.item(),
-        lambda_cls=lam_c, lambda_uriel=lam_u, total=total_t.item(),
-    )
+        lam_c_t = ad.softplus(scaling.raw_cls)
+        lam_u_t = ad.softplus(scaling.raw_uriel)
+        drift = ad.add(ad.add(lam_c_t, lam_u_t), -2.0)
+        mini_t = ad.mul(drift, drift)
+        total_t = ad.add(ad.add(ad.mul(lam_c_t, l_cls_t), ad.mul(lam_u_t, l_uriel_t)),
+                         mini_t)
+        lam_c, lam_u, mini = lam_c_t.item(), lam_u_t.item(), mini_t.item()
+    else:
+        lam_c, lam_u = scaling.lambdas
+        total_t = ad.add(ad.scale(l_cls_t, lam_c), ad.scale(l_uriel_t, lam_u))
+    breakdown = LossBreakdown(l_cls=l_cls, l_uriel=l_uriel, lambda_cls=lam_c,
+                              lambda_uriel=lam_u, total=total_t.item(),
+                              mini_loss=mini)
     return total_t, breakdown
 
 
@@ -294,11 +279,9 @@ def _task_loss(model: AlchemyModel, logits: Tensor, labels: np.ndarray) -> Tenso
 
 
 def forward_losses(model: AlchemyModel, batch: TokenBatch, store: UrielStore,
-                   sets: Sequence[FeatureSet],
-                   dropout_rng: np.random.Generator | None = None
-                   ) -> tuple[Tensor, Tensor]:
+                   sets: Sequence[FeatureSet]) -> tuple[Tensor, Tensor]:
     """One forward pass; returns (task loss, linguistic loss) graph nodes."""
-    hidden = encoder_forward(model.cfg, model.encoder, batch, dropout_rng=dropout_rng)
+    hidden = encoder_forward(model.cfg, model.encoder, batch)
     pooled = pool_cls(hidden)
     l_cls = _task_loss(model, task_logits(model, pooled), batch.labels)
     l_uriel = uriel_loss(project_to_uriel(model, pooled), batch.langs, store, sets)
@@ -307,18 +290,11 @@ def forward_losses(model: AlchemyModel, batch: TokenBatch, store: UrielStore,
 
 def train_step(model: AlchemyModel, batch: TokenBatch, store: UrielStore,
                sets: Sequence[FeatureSet], scaling: ScalingState,
-               opt: AdamW, dropout_rng: np.random.Generator | None = None
-               ) -> LossBreakdown:
+               opt: AdamW) -> LossBreakdown:
     """Forward, combine per the scaling policy, backward, AdamW, zero grads."""
-    l_cls_t, l_uriel_t = forward_losses(model, batch, store, sets, dropout_rng)
+    l_cls_t, l_uriel_t = forward_losses(model, batch, store, sets)
     if isinstance(scaling, AlchemyScale):
-        if not scaling.initialized:
-            init = alchemy_scale_init(l_cls_t.item(), l_uriel_t.item(),
-                                      scaling.decay, scaling.update_period)
-            scaling.ema_cls, scaling.ema_uriel = init.ema_cls, init.ema_uriel
-            scaling.lambda_cls, scaling.lambda_uriel = init.lambda_cls, init.lambda_uriel
-        else:
-            alchemy_scale_update(scaling, l_cls_t.item(), l_uriel_t.item())
+        alchemy_scale_update(scaling, l_cls_t.item(), l_uriel_t.item())
     total_t, breakdown = combine_losses(l_cls_t, l_uriel_t, scaling)
     ad.backward(total_t)
     opt.step()
@@ -353,15 +329,15 @@ def iterate_batches(order: np.ndarray, batch_size: int):
 def train_loop(model: AlchemyModel, batches_fn, n_examples: int,
                store: UrielStore, sets: Sequence[FeatureSet],
                scaling: ScalingState, epochs: int, batch_size: int,
-               lr: float, seed: int, weight_decay: float = 0.01,
-               trace_path=None, checkpoint_path=None
+               lr: float, seed: int, weight_decay: float = 0.01
                ) -> tuple[AlchemyModel, list[LossBreakdown], list[list]]:
     """Run the full schedule; returns the model, per-epoch mean breakdowns,
     and the per-step trace rows.
 
     ``batches_fn(indices) -> TokenBatch`` materializes a batch for the given
     example indices; shuffling is fixed per (seed, epoch) so identical seeds
-    replay identical trajectories.
+    replay identical trajectories. A non-finite loss stops training with a
+    ``NumericError`` naming the epoch and step as ``trace.csv`` numbers them.
     """
     opt = make_optimizer(model, scaling, lr=lr, weight_decay=weight_decay)
     epoch_means: list[LossBreakdown] = []
@@ -369,22 +345,19 @@ def train_loop(model: AlchemyModel, batches_fn, n_examples: int,
     global_step = 0
     for epoch in range(epochs):
         order = np.random.default_rng([seed, epoch]).permutation(n_examples)
-        dropout_rng = (np.random.default_rng([seed, epoch, 0xD0])
-                       if model.cfg.dropout_prob > 0 else None)
         collected: list[LossBreakdown] = []
         for idx in iterate_batches(order, batch_size):
             batch = batches_fn(idx)
-            breakdown = train_step(model, batch, store, sets, scaling, opt,
-                                   dropout_rng=dropout_rng)
+            breakdown = train_step(model, batch, store, sets, scaling, opt)
             global_step += 1
+            for name in ("l_cls", "l_uriel", "total"):
+                if not math.isfinite(getattr(breakdown, name)):
+                    raise NumericError(f"non-finite {name} at epoch {epoch}, "
+                                       f"step {global_step}")
             collected.append(breakdown)
             trace_rows.append(breakdown.as_row(epoch, global_step))
         if collected:
             epoch_means.append(_mean_breakdown(collected))
-    if trace_path is not None:
-        write_trace(trace_path, trace_rows)
-    if checkpoint_path is not None:
-        ad.save_checkpoint(checkpoint_path, model.named_parameters())
     return model, epoch_means, trace_rows
 
 
@@ -398,13 +371,6 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
         total=float(np.mean([b.total for b in items])),
         mini_loss=float(np.mean(minis)) if minis else None,
     )
-
-
-def write_trace(path, rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

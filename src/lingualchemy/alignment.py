@@ -195,10 +195,10 @@ def export_alignment_pca(aligned: np.ndarray, targets: np.ndarray,
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "lang", "pc1", "pc2"])
-        for i, lang in enumerate(langs):
-            writer.writerow(["lang_rep", lang, repr(proj[i, 0]), repr(proj[i, 1])])
-        for i, lang in enumerate(langs):
-            writer.writerow(["uriel", lang, repr(proj[n + i, 0]), repr(proj[n + i, 1])])
+        for kind, offset in (("lang_rep", 0), ("uriel", n)):
+            for i, lang in enumerate(langs):
+                pc1, pc2 = proj[offset + i].tolist()
+                writer.writerow([kind, lang, repr(pc1), repr(pc2)])
 
 
 def export_alignment_report(fits: Sequence[AlignmentFit], n: int, path) -> None:

@@ -13,6 +13,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .errors import DataError
+
 _grad_enabled = True
 
 
@@ -471,23 +473,37 @@ def save_checkpoint(path, named_params) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as an ordered name -> float32 array mapping."""
+    """Read a checkpoint back as an ordered name -> float32 array mapping.
+
+    A file that is not a version-1 checkpoint, or ends inside a record,
+    raises ``DataError``.
+    """
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+
+        def read(n: int) -> bytes:
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise DataError(f"{path}: truncated checkpoint")
+            return chunk
+
         if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic")
-        (version,) = struct.unpack("<H", fh.read(2))
+            raise DataError(f"{path}: bad checkpoint magic")
+        (version,) = struct.unpack("<H", read(2))
         if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
         while True:
             head = fh.read(2)
             if not head:
                 break
-            (name_len,) = struct.unpack("<H", head)
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
+            (name_len,) = struct.unpack("<H", head + read(2 - len(head)))
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: corrupt checkpoint record name") from None
+            (rank,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{rank}I", read(4 * rank))
             count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
+            data = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape)
             out[name] = data.copy()
     return out

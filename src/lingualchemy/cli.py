@@ -19,11 +19,11 @@ from .alchemy import AlchemyModel, init_alchemy_model
 from .autodiff import load_checkpoint
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, NumericError
-from .harness import (ExperimentConfig, ablation_sweep, export_report,
+from .harness import (Benchmark, ExperimentConfig, _evaluate, ablation_sweep,
                       export_sweep, family_split_experiment, make_token_batch,
                       parse_config, prepare_benchmark, run_experiment,
-                      scaling_sweep, serialize_config, svg_line_chart)
-from .synthlang import Vocab, write_corpus_tsv
+                      scaling_sweep, svg_line_chart)
+from .synthlang import Corpus, Vocab, write_corpus_tsv
 from .uriel import write_uriel_tsv
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
@@ -87,16 +87,25 @@ def _rebuild_model(cfg: ExperimentConfig, vocab: Vocab, d_uriel: int,
     return model
 
 
-def cmd_eval(args) -> int:
-    from .harness import _evaluate
+def _load_run(args) -> tuple[ExperimentConfig, Benchmark, Corpus, AlchemyModel]:
+    """Rebuild a trained run from ``--run-dir``.
 
-    cfg = _load_config(args)
+    The config is the run's own ``config.resolved``; only ``out_dir`` comes
+    from this invocation. The vocab and weights come from ``vocab.tsv`` and
+    ``checkpoint.lalc`` in the same directory.
+    """
     run_dir = Path(args.run_dir)
-    vocab = Vocab.load(run_dir / "vocab.tsv")
+    cfg = replace(parse_config(run_dir / "config.resolved"),
+                  out_dir=_load_config(args).out_dir)
     bench = prepare_benchmark(cfg)
-    corpus = bench.corpus.with_vocab(vocab)
+    vocab = Vocab.load(run_dir / "vocab.tsv")
     model = _rebuild_model(cfg, vocab, bench.store.vector_dim(cfg.feature_sets),
                            run_dir / "checkpoint.lalc")
+    return cfg, bench, bench.corpus.with_vocab(vocab), model
+
+
+def cmd_eval(args) -> int:
+    cfg, bench, corpus, model = _load_run(args)
     for split_tag, langs in (("seen", bench.seen), ("unseen", bench.unseen)):
         for lang in langs:
             subset = corpus.for_langs([lang]).subset("test")
@@ -107,14 +116,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_align(args) -> int:
-    cfg = _load_config(args)
-    bench = prepare_benchmark(cfg)
-    run_dir = Path(args.run_dir)
-    vocab = Vocab.load(run_dir / "vocab.tsv")
-    corpus = bench.corpus.with_vocab(vocab)
-    model = _rebuild_model(cfg, vocab,
-                           bench.store.vector_dim(cfg.feature_sets),
-                           run_dir / "checkpoint.lalc")
+    cfg, bench, corpus, model = _load_run(args)
     train = corpus.subset("train")
     batches = [make_token_batch(train.examples[i:i + 64], corpus.vocab,
                                 cfg.max_seq_len, cfg.task)

@@ -22,7 +22,6 @@ class EncoderConfig:
     n_heads: int = 4
     n_layers: int = 2
     max_seq_len: int = 32
-    dropout_prob: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -30,8 +29,6 @@ class EncoderConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if self.max_seq_len < 2:
             raise ValueError("max_seq_len must be at least 2 (CLS + one token)")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ValueError("dropout_prob must be in [0, 1)")
 
     @property
     def head_dim(self) -> int:
@@ -100,13 +97,6 @@ def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add_bias(ad.matmul(x, w), b)
 
 
-def _dropout(x: Tensor, prob: float, rng: np.random.Generator | None) -> Tensor:
-    if rng is None or prob <= 0.0:
-        return x
-    keep = (rng.random(x.shape) >= prob).astype(x.data.dtype) / (1.0 - prob)
-    return ad.mul(x, Tensor(keep))
-
-
 def _attention(cfg: EncoderConfig, params, i: int, x: Tensor,
                key_mask: np.ndarray, attn_probs: list | None) -> Tensor:
     q = _affine(x, params[f"l{i}.wq"], params[f"l{i}.bq"])
@@ -129,7 +119,6 @@ def encoder_forward(
     cfg: EncoderConfig,
     params: dict[str, Tensor],
     batch: TokenBatch,
-    dropout_rng: np.random.Generator | None = None,
     attn_probs: list | None = None,
 ) -> Tensor:
     """Run the encoder; returns last hidden states of shape (B, T, d_model).
@@ -147,15 +136,14 @@ def encoder_forward(
 
     x = ad.add_bias(ad.embedding(params["tok_emb"], ids),
                     ad.slice_rows(params["pos_emb"], t))
-    x = _dropout(x, cfg.dropout_prob, dropout_rng)
     for i in range(cfg.n_layers):
         xn = ad.layer_norm(x, params[f"l{i}.ln1_g"], params[f"l{i}.ln1_b"])
         attn = _attention(cfg, params, i, xn, mask, attn_probs)
-        x = ad.add(x, _dropout(attn, cfg.dropout_prob, dropout_rng))
+        x = ad.add(x, attn)
         xn = ad.layer_norm(x, params[f"l{i}.ln2_g"], params[f"l{i}.ln2_b"])
         up = ad.gelu(_affine(xn, params[f"l{i}.w_up"], params[f"l{i}.b_up"]))
         down = _affine(up, params[f"l{i}.w_down"], params[f"l{i}.b_down"])
-        x = ad.add(x, _dropout(down, cfg.dropout_prob, dropout_rng))
+        x = ad.add(x, down)
     return ad.layer_norm(x, params["ln_f_g"], params["ln_f_b"])
 
 

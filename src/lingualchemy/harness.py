@@ -21,7 +21,7 @@ import numpy as np
 
 from .alchemy import (AlchemyScale, AlchemyTune, ConstantScaling, ScalingState,
                       TRACE_HEADER, init_alchemy_model, predict_classes,
-                      predict_logits, train_loop, write_trace)
+                      predict_logits, train_loop)
 from .autodiff import save_checkpoint
 from .encoder import EncoderConfig, TokenBatch
 from .errors import ConfigError, DataError, NumericError

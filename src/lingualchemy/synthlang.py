@@ -102,9 +102,13 @@ class Vocab:
     def load(cls, path) -> "Vocab":
         mapping = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                tok, idx = line.rstrip("\n").split("\t")
-                mapping[tok] = int(idx)
+            for line_no, line in enumerate(fh, start=1):
+                tok, _, idx = line.rstrip("\n").partition("\t")
+                try:
+                    mapping[tok] = int(idx)
+                except ValueError:
+                    raise TsvFormatError(path, line_no, f"expected token<TAB>id, "
+                                         f"got {line!r}") from None
         return cls(token_to_id=mapping)
 
 

@@ -14,9 +14,9 @@ import pytest
 from lingualchemy import autodiff as ad
 from lingualchemy.alchemy import (AlchemyScale, AlchemyTune, ConstantScaling,
                                   alchemy_scale_init, alchemy_scale_update,
-                                  forward_losses, init_alchemy_model,
-                                  make_optimizer, predict_classes, total_loss,
-                                  train_step, uriel_loss)
+                                  combine_losses, forward_losses,
+                                  init_alchemy_model, make_optimizer,
+                                  predict_classes, train_step, uriel_loss)
 from lingualchemy.alignment import (ClosedForm, GradientDescent,
                                     SentenceRepSet, fit_alignment)
 from lingualchemy.autodiff import AdamW, Tensor
@@ -154,7 +154,7 @@ class TestCriterion2LossIdentity:
                 scaling = AlchemyTune()
                 scaling.raw_cls.data = np.asarray(rng.normal())
                 scaling.raw_uriel.data = np.asarray(rng.normal())
-            bd = total_loss(l_cls, l_uriel, scaling)
+            _, bd = combine_losses(Tensor(l_cls), Tensor(l_uriel), scaling)
             expected = bd.lambda_cls * bd.l_cls + bd.lambda_uriel * bd.l_uriel
             if bd.mini_loss is not None:
                 expected = expected + bd.mini_loss

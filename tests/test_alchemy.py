@@ -4,10 +4,9 @@ import pytest
 from lingualchemy import autodiff as ad
 from lingualchemy.alchemy import (AlchemyScale, AlchemyTune, ConstantScaling,
                                   alchemy_scale_init, alchemy_scale_update,
-                                  alchemy_tune_loss, combine_losses,
-                                  init_alchemy_model, make_optimizer,
-                                  project_to_uriel, total_loss, train_loop,
-                                  train_step, uriel_loss)
+                                  combine_losses, init_alchemy_model,
+                                  make_optimizer, project_to_uriel,
+                                  train_loop, train_step, uriel_loss)
 from lingualchemy.autodiff import Tensor
 from lingualchemy.encoder import EncoderConfig, TokenBatch
 from lingualchemy.errors import NumericError, UnknownLanguageError
@@ -121,14 +120,19 @@ class TestUrielLoss:
             assert got == pytest.approx(expected, abs=1e-12)
 
 
-class TestTotalLoss:
+def combined(l_cls, l_uriel, scaling):
+    """The breakdown combine_losses gives for two loss values."""
+    return combine_losses(Tensor(l_cls), Tensor(l_uriel), scaling)[1]
+
+
+class TestCombineLosses:
     def test_hand_arithmetic(self):
-        bd = total_loss(0.7, 0.05, ConstantScaling(10.0))
+        bd = combined(0.7, 0.05, ConstantScaling(10.0))
         assert bd.total == pytest.approx(1.2, abs=1e-15)
         assert bd.lambda_cls == 1.0
 
     def test_zero_factor_reduces_to_task_loss(self):
-        bd = total_loss(0.42, 9.9, ConstantScaling(0.0))
+        bd = combined(0.42, 9.9, ConstantScaling(0.0))
         assert bd.total == 0.42
 
     def test_default_factor_is_ten(self):
@@ -146,7 +150,7 @@ class TestTotalLoss:
                                              float(rng.uniform(0.01, 5)))
             else:
                 scaling = AlchemyTune()
-            bd = total_loss(l_cls, l_uriel, scaling)
+            bd = combined(l_cls, l_uriel, scaling)
             expected = bd.lambda_cls * bd.l_cls + bd.lambda_uriel * bd.l_uriel
             if bd.mini_loss is not None:
                 expected = expected + bd.mini_loss
@@ -154,7 +158,7 @@ class TestTotalLoss:
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError):
-            total_loss(-0.1, 0.0, ConstantScaling(1.0))
+            combined(-0.1, 0.0, ConstantScaling(1.0))
 
 
 class TestAlchemyScale:
@@ -211,7 +215,7 @@ class TestAlchemyTune:
         lam_c, lam_u = state.lambdas
         assert lam_c == pytest.approx(1.0, abs=1e-12)
         assert lam_u == pytest.approx(1.0, abs=1e-12)
-        _, bd = alchemy_tune_loss(Tensor(0.5), Tensor(0.5), state)
+        bd = combined(0.5, 0.5, state)
         assert bd.mini_loss == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_mini_loss(self):
@@ -219,7 +223,7 @@ class TestAlchemyTune:
         # raw values chosen so softplus gives 1.3 and 0.9
         state.raw_cls.data = np.asarray(np.log(np.expm1(1.3)))
         state.raw_uriel.data = np.asarray(np.log(np.expm1(0.9)))
-        _, bd = alchemy_tune_loss(Tensor(0.0), Tensor(0.0), state)
+        bd = combined(0.0, 0.0, state)
         assert bd.mini_loss == pytest.approx(0.04, abs=1e-9)
 
     def test_lambdas_strictly_positive(self):
@@ -234,7 +238,7 @@ class TestAlchemyTune:
         l_uriel = Tensor(0.2)
 
         def build():
-            total, _ = alchemy_tune_loss(l_cls, l_uriel, state)
+            total, _ = combine_losses(l_cls, l_uriel, state)
             return total
 
         total = build()
@@ -243,9 +247,10 @@ class TestAlchemyTune:
             check_grad(lambda: build().item(), raw, tol=1e-4)
             raw.zero_grad()
 
-    def test_wrong_mode_rejected(self):
-        with pytest.raises(TypeError):
-            alchemy_tune_loss(Tensor(1.0), Tensor(1.0), ConstantScaling(1.0))
+    def test_drift_penalty_only_for_tune(self):
+        assert combined(0.3, 0.2, ConstantScaling(10.0)).mini_loss is None
+        assert combined(0.3, 0.2, alchemy_scale_init(0.3, 0.2)).mini_loss is None
+        assert combined(0.3, 0.2, AlchemyTune()).mini_loss is not None
 
 
 class TestTrainStep:
@@ -300,6 +305,9 @@ class TestTrainStep:
         bd = train_step(model, tiny_batch(), small_store, SETS, scaling, opt)
         assert bd.lambda_cls * bd.l_cls == pytest.approx(
             bd.lambda_uriel * bd.l_uriel, abs=1e-9)
+        # set-up takes the first losses as the EMAs and is not a step
+        assert (scaling.ema_cls, scaling.ema_uriel) == (bd.l_cls, bd.l_uriel)
+        assert scaling.step == 0
 
     def test_alchemy_tune_moves_raws(self, small_store):
         model = tiny_model()
@@ -343,6 +351,19 @@ class TestTrainLoop:
         assert len(trace) == 2
         assert len(trace[0]) == 8
         assert len(means) == 2
+
+    def test_non_finite_loss_stops_training(self, small_store):
+        # regression targets of inf make the task loss inf on the first step
+        model = init_alchemy_model(tiny_model().cfg, n_outputs=1, d_uriel=2,
+                                   feature_sets=tuple(SETS), task="regression")
+        base = tiny_batch()
+        batch = TokenBatch(ids=base.ids, attention_mask=base.attention_mask,
+                           langs=base.langs, labels=np.array([np.inf, 0.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match=r"non-finite l_cls at epoch 0, step 1$"):
+            train_loop(model, lambda indices: batch, 2, small_store, SETS,
+                       ConstantScaling(1.0), epochs=2, batch_size=2,
+                       lr=1e-3, seed=0)
 
 
 class TestZeroRegularizerEquivalence:

@@ -3,6 +3,7 @@ import pytest
 
 from lingualchemy import autodiff as ad
 from lingualchemy.autodiff import AdamW, Tensor
+from lingualchemy.errors import DataError
 
 from gradcheck import check_grad, finite_difference_grad, relative_error
 
@@ -370,5 +371,14 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.lalc"
         path.write_bytes(b"NOPE" + b"\x00" * 8)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(DataError, match="magic"):
             ad.load_checkpoint(path)
+
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "cut.lalc"
+        ad.save_checkpoint(path, [("w", Tensor(np.ones((3, 4))))])
+        blob = path.read_bytes()
+        for cut in (5, 7, 9, 12, len(blob) - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError, match="truncated"):
+                ad.load_checkpoint(path)

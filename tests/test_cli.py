@@ -1,4 +1,5 @@
 import csv
+import shutil
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,17 @@ def cfg_file(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """One `train` run directory, shared read-only by the tests that need it."""
+    base = tmp_path_factory.mktemp("trained")
+    cfg = base / "exp.cfg"
+    cfg.write_text(FAST_CFG + "feature_sets = syntax_knn\n", encoding="utf-8")
+    assert run_cli("--config", str(cfg), "--out", str(base / "run"),
+                   "train") == 0
+    return base / "run"
 
 
 class TestExitCodes:
@@ -94,6 +106,32 @@ class TestTrainEvalAlign:
         with open(align_out / "alignment_report.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "method" and len(rows) == 3
+        for name, labels in (("alignment_report.csv", 1),
+                             ("alignment_pca.csv", 2)):
+            with open(align_out / name) as fh:
+                rows = list(csv.reader(fh))
+            for row in rows[1:]:
+                for cell in row[labels:]:
+                    float(cell)  # raises on anything but a plain number
+
+    def test_eval_and_align_use_the_runs_own_config(self, tmp_path,
+                                                    trained_run, capsys):
+        # same store width (syntax_average is as wide as syntax_knn), other
+        # corpus size: outputs may only depend on the run's config.resolved
+        other = tmp_path / "other.cfg"
+        other.write_text(FAST_CFG.replace("n_per_lang = 40", "n_per_lang = 30")
+                         + "feature_sets = syntax_average\n", encoding="utf-8")
+        outputs = []
+        for cfg in (trained_run / "config.resolved", other):
+            out = tmp_path / cfg.stem
+            assert run_cli("--config", str(cfg), "--out", str(out),
+                           "eval", "--run-dir", str(trained_run)) == 0
+            assert run_cli("--config", str(cfg), "--out", str(out),
+                           "align", "--run-dir", str(trained_run)) == 0
+            printed = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((printed, (out / "alignment_report.csv").read_bytes(),
+                            (out / "alignment_pca.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_report_csv_schema(self, tmp_path, cfg_file):
         out = tmp_path / "run2"
@@ -102,6 +140,33 @@ class TestTrainEvalAlign:
             rows = list(csv.reader(fh))
         assert rows[0] == ["lang", "split", "metric", "value"]
         assert all(r[2] == "accuracy" for r in rows[1:])
+
+
+class TestCorruptRunDir:
+    def _copy(self, trained_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        return run
+
+    def test_truncated_checkpoint_is_3(self, tmp_path, trained_run, capsys):
+        run = self._copy(trained_run, tmp_path)
+        blob = (run / "checkpoint.lalc").read_bytes()
+        (run / "checkpoint.lalc").write_bytes(blob[:len(blob) // 2])
+        assert run_cli("eval", "--run-dir", str(run)) == 3
+        assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_is_3(self, tmp_path, trained_run, capsys):
+        run = self._copy(trained_run, tmp_path)
+        (run / "checkpoint.lalc").write_bytes(b"not a checkpoint")
+        assert run_cli("eval", "--run-dir", str(run)) == 3
+        assert "bad checkpoint magic" in capsys.readouterr().err
+
+    def test_malformed_vocab_is_3(self, tmp_path, trained_run, capsys):
+        run = self._copy(trained_run, tmp_path)
+        with open(run / "vocab.tsv", "a", encoding="utf-8") as fh:
+            fh.write("no-tab-on-this-line\n")
+        assert run_cli("eval", "--run-dir", str(run)) == 3
+        assert "vocab.tsv" in capsys.readouterr().err
 
 
 class TestSweeps:

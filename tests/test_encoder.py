@@ -96,21 +96,6 @@ class TestForward:
         with pytest.raises(ValueError, match="CLS"):
             batch_of([[0, 5]], mask=np.array([[False, True]]))
 
-    def test_dropout_training_only_and_seeded(self):
-        cfg = EncoderConfig(vocab_size=19, d_model=16, n_heads=2, n_layers=1,
-                            max_seq_len=8, dropout_prob=0.5, seed=11)
-        params = init_encoder_params(cfg)
-        b = batch_of([[0, 5, 7]])
-        eval_out = encoder_forward(cfg, params, b)  # no rng -> no dropout
-        eval_out2 = encoder_forward(cfg, params, b)
-        np.testing.assert_array_equal(eval_out.data, eval_out2.data)
-        d1 = encoder_forward(cfg, params, b,
-                             dropout_rng=np.random.default_rng(3))
-        d2 = encoder_forward(cfg, params, b,
-                             dropout_rng=np.random.default_rng(3))
-        np.testing.assert_array_equal(d1.data, d2.data)
-        assert not np.array_equal(d1.data, eval_out.data)
-
     def test_attention_rows_sum_to_one(self):
         params = init_encoder_params(CFG)
         mask = np.array([[True, True, True, False]])
