@@ -207,42 +207,18 @@ def softplus(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports (m,k)@(k,n), batched (B,m,k)@(B,k,n), and
-    (B,m,k)@(k,n)."""
+    """Matrix product of an (m,k) or (B,m,k) tensor by a (k,n) tensor."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2 or ad.ndim > 3 or bd.ndim > 3:
+    if ad.ndim not in (2, 3) or bd.ndim != 2:
         raise ValueError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
-    if ad.shape[-1] != bd.shape[-2]:
+    if ad.shape[-1] != bd.shape[0]:
         raise ValueError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
-        raise ValueError(f"matmul: batch dims differ, {ad.shape} @ {bd.shape}")
-    if ad.ndim == 2 and bd.ndim == 3:
-        raise ValueError("matmul: (2d @ 3d) not supported")
+    k, n = bd.shape
 
     def vjp(g):
-        da = g @ np.swapaxes(bd, -1, -2)
-        if bd.ndim == 2 and ad.ndim == 3:
-            k, n = bd.shape
-            db = np.ascontiguousarray(ad).reshape(-1, k).T @ g.reshape(-1, n)
-        else:
-            db = np.swapaxes(ad, -1, -2) @ g
-        return da, db
+        return g @ bd.T, np.ascontiguousarray(ad).reshape(-1, k).T @ g.reshape(-1, n)
 
     return _make(ad @ bd, (a, b), vjp)
-
-
-def transpose_last2(x: Tensor) -> Tensor:
-    return _make(np.swapaxes(x.data, -1, -2), (x,),
-                 lambda g: (np.swapaxes(g, -1, -2),))
-
-
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice of the last axis."""
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[..., start:stop] = g
-        return (gx,)
-    return _make(x.data[..., start:stop].copy(), (x,), vjp)
 
 
 def slice_rows(x: Tensor, stop: int) -> Tensor:
@@ -252,16 +228,6 @@ def slice_rows(x: Tensor, stop: int) -> Tensor:
         gx[:stop] = g
         return (gx,)
     return _make(x.data[:stop].copy(), (x,), vjp)
-
-
-def concat_last(parts: list[Tensor]) -> Tensor:
-    sizes = [p.data.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), vjp)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -300,23 +266,49 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out, (x, gamma, beta), vjp)
 
 
-def masked_softmax(scores: Tensor, key_mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis with masked-out keys receiving zero weight.
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray,
+              n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over (B, T, d) q, k and v.
 
-    ``key_mask`` is (B, T) boolean; scores are (B, Tq, T). Each query row must
-    keep at least one valid key.
+    Head h owns slice ``[h*hd, (h+1)*hd)`` of the last axis, hd = d / n_heads.
+    ``key_mask`` is (B, T) boolean: masked-out keys get zero weight, and each
+    query must keep at least one valid key. Returns the merged (B, T, d) heads.
     """
+    shape = q.data.shape
+    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
+        raise ValueError("attention: q, k and v must share one (B, T, d) shape")
+    b, t, d = shape
+    if n_heads < 1 or d % n_heads:
+        raise ValueError(f"attention: d={d} is not divisible by n_heads={n_heads}")
     key_mask = np.asarray(key_mask, dtype=bool)
-    masked = np.where(key_mask[:, None, :], scores.data, -np.inf)
-    shifted = masked - masked.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    if key_mask.shape != (b, t):
+        raise ValueError(f"attention: key_mask shape {key_mask.shape} != {(b, t)}")
+    hd = d // n_heads
+    factor = 1.0 / np.sqrt(hd)
+
+    def heads(x):  # (B, T, d) -> (B, H, T, hd) view
+        return x.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x):  # C order keeps the downstream bias-gradient sums bit-stable
+        return np.ascontiguousarray(np.swapaxes(x, 1, 2)).reshape(b, t, d)
+
+    qh, kh, vh = (np.ascontiguousarray(heads(x.data)) for x in (q, k, v))
+    # softmax in place: separate (B, H, T, T) temporaries made batch-64 eval ~2x slower
+    p = qh @ np.swapaxes(kh, -1, -2)
+    p *= factor
+    np.copyto(p, -np.inf, where=~key_mask[:, None, None, :])
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - inner),)
+        gh = heads(g)
+        dp = gh @ np.swapaxes(vh, -1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * factor
+        dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
+        return merge(ds @ kh), merge(dk), merge(np.swapaxes(p, -1, -2) @ gh)
 
-    return _make(p, (scores,), vjp)
+    return _make(merge(p @ vh), (q, k, v), vjp)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:

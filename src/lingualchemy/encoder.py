@@ -30,10 +30,6 @@ class EncoderConfig:
         if self.max_seq_len < 2:
             raise ValueError("max_seq_len must be at least 2 (CLS + one token)")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
 
 @dataclass
 class TokenBatch:
@@ -98,34 +94,20 @@ def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _attention(cfg: EncoderConfig, params, i: int, x: Tensor,
-               key_mask: np.ndarray, attn_probs: list | None) -> Tensor:
+               key_mask: np.ndarray) -> Tensor:
     q = _affine(x, params[f"l{i}.wq"], params[f"l{i}.bq"])
     k = _affine(x, params[f"l{i}.wk"], params[f"l{i}.bk"])
     v = _affine(x, params[f"l{i}.wv"], params[f"l{i}.bv"])
-    hd = cfg.head_dim
-    heads = []
-    for h in range(cfg.n_heads):
-        lo, hi = h * hd, (h + 1) * hd
-        qh, kh, vh = (ad.slice_last(z, lo, hi) for z in (q, k, v))
-        scores = ad.scale(ad.matmul(qh, ad.transpose_last2(kh)), 1.0 / np.sqrt(hd))
-        probs = ad.masked_softmax(scores, key_mask)
-        if attn_probs is not None:
-            attn_probs.append(probs.data)
-        heads.append(ad.matmul(probs, vh))
-    return _affine(ad.concat_last(heads), params[f"l{i}.wo"], params[f"l{i}.bo"])
+    heads = ad.attention(q, k, v, key_mask, cfg.n_heads)
+    return _affine(heads, params[f"l{i}.wo"], params[f"l{i}.bo"])
 
 
-def encoder_forward(
-    cfg: EncoderConfig,
-    params: dict[str, Tensor],
-    batch: TokenBatch,
-    attn_probs: list | None = None,
-) -> Tensor:
+def encoder_forward(cfg: EncoderConfig, params: dict[str, Tensor],
+                    batch: TokenBatch) -> Tensor:
     """Run the encoder; returns last hidden states of shape (B, T, d_model).
 
-    Masked positions are excluded as attention keys via additive -inf
-    scores, so they cannot influence any other position. Pass a list as
-    ``attn_probs`` to collect per-layer, per-head attention weights.
+    Masked positions are excluded as attention keys, so they cannot
+    influence any other position.
     """
     ids, mask = batch.ids, batch.attention_mask
     t = ids.shape[1]
@@ -138,7 +120,7 @@ def encoder_forward(
                     ad.slice_rows(params["pos_emb"], t))
     for i in range(cfg.n_layers):
         xn = ad.layer_norm(x, params[f"l{i}.ln1_g"], params[f"l{i}.ln1_b"])
-        attn = _attention(cfg, params, i, xn, mask, attn_probs)
+        attn = _attention(cfg, params, i, xn, mask)
         x = ad.add(x, attn)
         xn = ad.layer_norm(x, params[f"l{i}.ln2_g"], params[f"l{i}.ln2_b"])
         up = ad.gelu(_affine(xn, params[f"l{i}.w_up"], params[f"l{i}.b_up"]))

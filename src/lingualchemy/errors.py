@@ -2,8 +2,12 @@
 
 The CLI maps these onto process exit codes, so anything user-facing
 should raise one of the three roots (or a subclass) rather than a bare
-ValueError.
+ValueError. Text input is read through :func:`read_text_lines`, so bytes
+that are not UTF-8 end in one of them too.
 """
+
+import io
+from pathlib import Path
 
 
 class ConfigError(Exception):
@@ -33,3 +37,15 @@ class UnknownLanguageError(DataError):
     def __init__(self, lang):
         super().__init__(f"unknown language: {lang!r}")
         self.lang = lang
+
+
+def read_text_lines(path, error=DataError) -> list[str]:
+    """A UTF-8 text file's lines without their ends, newline-translated as
+    ``open`` does; bytes that do not decode raise ``error`` naming the line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = io.StringIO(raw.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line_no}: not UTF-8 text") from None
+    return [line.rstrip("\n") for line in text]

@@ -24,7 +24,7 @@ from .alchemy import (AlchemyScale, AlchemyTune, ConstantScaling, ScalingState,
                       predict_logits, train_loop)
 from .autodiff import save_checkpoint
 from .encoder import EncoderConfig, TokenBatch
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, read_text_lines
 from .synthlang import (Corpus, Example, Vocab, generate_corpus,
                         generate_languages, read_corpus_tsv, tokenize)
 from .uriel import ALL_FEATURE_SETS, FeatureSet, UrielStore, load_uriel_tsv
@@ -166,24 +166,23 @@ def parse_config(path) -> ExperimentConfig:
     """
     values: dict = {}
     seen_keys: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _KEY_TYPES:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            if key in seen_keys:
-                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r} "
-                                  f"(first set on line {seen_keys[key]})")
-            seen_keys[key] = line_no
-            values[key] = _parse_value(key, value.strip(), line_no)
+    for line_no, raw in enumerate(read_text_lines(path, ConfigError), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _KEY_TYPES:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in seen_keys:
+            raise ConfigError(f"{path}:{line_no}: duplicate key {key!r} "
+                              f"(first set on line {seen_keys[key]})")
+        seen_keys[key] = line_no
+        values[key] = _parse_value(key, value.strip(), line_no)
     cfg = ExperimentConfig(**values)
     _validate_config(cfg)
     return cfg
@@ -525,8 +524,8 @@ class SweepRow:
 
 
 def _run_cell(args) -> float:
-    cfg, seed = args
-    report = run_experiment(cfg, seed=seed, persist=False)
+    cfg, seed, bench = args
+    report = run_experiment(cfg, seed=seed, persist=False, benchmark=bench)
     return report.aggregates["unseen_mean"]
 
 
@@ -543,23 +542,26 @@ def _run_cells(cfg: ExperimentConfig, jobs: list) -> list[float]:
         return list(pool.map(_run_cell, jobs))
 
 
-def _require_unseen(cfg: ExperimentConfig) -> None:
-    if not prepare_benchmark(cfg).unseen:
+def _sweep_benchmark(cfg: ExperimentConfig) -> Benchmark:
+    """The one benchmark that every cell of a sweep trains and evaluates on."""
+    bench = prepare_benchmark(cfg)
+    if not bench.unseen:
         raise ConfigError("sweeps compare unseen-language means; configure "
                           "unseen languages (or generate enough languages "
                           "for the default split to leave some unseen)")
+    return bench
 
 
 def scaling_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Constant factors plus both dynamic modes, all on the same seeds."""
-    _require_unseen(cfg)
+    bench = _sweep_benchmark(cfg)
     variants: list[tuple[str, ExperimentConfig]] = []
     for factor in SWEEP_FACTORS:
         variants.append((f"{factor:g}x",
                          replace(cfg, scaling="constant", factor=factor)))
     variants.append(("AlchemyScale", replace(cfg, scaling="alchemy_scale")))
     variants.append(("AlchemyTune", replace(cfg, scaling="alchemy_tune")))
-    jobs = [(vcfg, seed) for _, vcfg in variants for seed in cfg.seeds]
+    jobs = [(vcfg, seed, bench) for _, vcfg in variants for seed in cfg.seeds]
     values = _run_cells(cfg, jobs)
     rows = []
     for i, (label, _) in enumerate(variants):
@@ -571,7 +573,8 @@ def scaling_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 def ablation_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """All seven nonempty feature-set combinations on the same seeds."""
-    _require_unseen(cfg)
+    # one store holding every feature set serves all seven combinations
+    bench = _sweep_benchmark(replace(cfg, feature_sets=ALL_FEATURE_SETS))
     combos: list[tuple[FeatureSet, ...]] = []
     for size in (1, 2, 3):
         for bits in range(1, 8):
@@ -579,7 +582,7 @@ def ablation_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                           if bits >> i & 1)
             if len(combo) == size and combo not in combos:
                 combos.append(combo)
-    jobs = [(replace(cfg, feature_sets=combo), seed)
+    jobs = [(replace(cfg, feature_sets=combo), seed, bench)
             for combo in combos for seed in cfg.seeds]
     values = _run_cells(cfg, jobs)
     rows = []

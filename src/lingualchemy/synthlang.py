@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TsvFormatError
+from .errors import DataError, TsvFormatError, read_text_lines
 from .uriel import FeatureSet, UrielStore
 
 CLS_TOKEN = "<cls>"
@@ -100,15 +100,24 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        mapping = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                tok, _, idx = line.rstrip("\n").partition("\t")
-                try:
-                    mapping[tok] = int(idx)
-                except ValueError:
-                    raise TsvFormatError(path, line_no, f"expected token<TAB>id, "
-                                         f"got {line!r}") from None
+        """Inverse of :meth:`save`: n distinct tokens with ids 0..n-1."""
+        lines = read_text_lines(path)
+        mapping: dict[str, int] = {}
+        line_of: dict[int, int] = {}
+        for line_no, line in enumerate(lines, start=1):
+            tok, _, idx = line.partition("\t")
+            try:
+                i = int(idx)
+            except ValueError:
+                raise TsvFormatError(path, line_no, f"expected token<TAB>id, "
+                                     f"got {line!r}") from None
+            if not 0 <= i < len(lines):
+                raise TsvFormatError(path, line_no, f"id {i} outside 0..{len(lines) - 1}")
+            if tok in mapping:
+                raise TsvFormatError(path, line_no, f"repeated token {tok!r}")
+            if i in line_of:
+                raise TsvFormatError(path, line_no, f"id {i} repeats line {line_of[i]}")
+            mapping[tok], line_of[i] = i, line_no
         return cls(token_to_id=mapping)
 
 
@@ -449,20 +458,18 @@ def read_corpus_tsv(path, task: str = "classification",
     classification), mirroring the synthetic generator.
     """
     raw: list[tuple[str, int | float, tuple[str, ...]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cells = line.split("\t")
-            if len(cells) != 3:
-                raise TsvFormatError(path, line_no, f"expected 3 columns, got {len(cells)}")
-            lang, label_s, text = cells
-            try:
-                label = int(label_s) if task == "classification" else float(label_s)
-            except ValueError:
-                raise TsvFormatError(path, line_no, f"bad label {label_s!r}") from None
-            raw.append((lang, label, tuple(text.split())))
+    for line_no, line in enumerate(read_text_lines(path), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        cells = line.split("\t")
+        if len(cells) != 3:
+            raise TsvFormatError(path, line_no, f"expected 3 columns, got {len(cells)}")
+        lang, label_s, text = cells
+        try:
+            label = int(label_s) if task == "classification" else float(label_s)
+        except ValueError:
+            raise TsvFormatError(path, line_no, f"bad label {label_s!r}") from None
+        raw.append((lang, label, tuple(text.split())))
     if not raw:
         raise DataError(f"{path}: empty corpus")
 

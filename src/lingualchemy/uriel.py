@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, TsvFormatError, UnknownLanguageError
+from .errors import DataError, TsvFormatError, UnknownLanguageError, read_text_lines
 
 MISSING = "--"
 
@@ -61,42 +61,40 @@ def _read_rows(path: Path) -> tuple[int, dict[str, tuple[np.ndarray, np.ndarray]
     """Parse one feature TSV into (n_dims, {lang: (values, mask)})."""
     rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     header_cols = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+    for line_no, line in enumerate(read_text_lines(path), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        cells = line.split("\t")
+        if header_cols is None:
+            if cells[0] != "lang" or len(cells) < 2:
+                raise TsvFormatError(path, line_no, "header must be lang<TAB>f0<TAB>...")
+            header_cols = len(cells)
+            continue
+        if len(cells) != header_cols:
+            raise TsvFormatError(
+                path, line_no,
+                f"expected {header_cols} columns, got {len(cells)}",
+            )
+        lang = cells[0].strip()
+        if not lang or any(ch.isspace() for ch in lang):
+            raise TsvFormatError(path, line_no, f"bad language code {cells[0]!r}")
+        if lang in rows:
+            raise TsvFormatError(path, line_no, f"duplicate language {lang!r}")
+        values = np.zeros(header_cols - 1, dtype=np.float64)
+        mask = np.ones(header_cols - 1, dtype=bool)
+        for j, cell in enumerate(cells[1:]):
+            cell = cell.strip()
+            if cell == MISSING:
+                mask[j] = False
                 continue
-            cells = line.split("\t")
-            if header_cols is None:
-                if cells[0] != "lang" or len(cells) < 2:
-                    raise TsvFormatError(path, line_no, "header must be lang<TAB>f0<TAB>...")
-                header_cols = len(cells)
-                continue
-            if len(cells) != header_cols:
-                raise TsvFormatError(
-                    path, line_no,
-                    f"expected {header_cols} columns, got {len(cells)}",
-                )
-            lang = cells[0].strip()
-            if not lang or any(ch.isspace() for ch in lang):
-                raise TsvFormatError(path, line_no, f"bad language code {cells[0]!r}")
-            if lang in rows:
-                raise TsvFormatError(path, line_no, f"duplicate language {lang!r}")
-            values = np.zeros(header_cols - 1, dtype=np.float64)
-            mask = np.ones(header_cols - 1, dtype=bool)
-            for j, cell in enumerate(cells[1:]):
-                cell = cell.strip()
-                if cell == MISSING:
-                    mask[j] = False
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise TsvFormatError(path, line_no, f"non-numeric cell {cell!r}") from None
-                if not math.isfinite(v):
-                    raise TsvFormatError(path, line_no, f"non-finite cell {cell!r}")
-                values[j] = v
-            rows[lang] = (values, mask)
+            try:
+                v = float(cell)
+            except ValueError:
+                raise TsvFormatError(path, line_no, f"non-numeric cell {cell!r}") from None
+            if not math.isfinite(v):
+                raise TsvFormatError(path, line_no, f"non-finite cell {cell!r}")
+            values[j] = v
+        rows[lang] = (values, mask)
     if header_cols is None:
         raise TsvFormatError(path, 0, "missing header line")
     if not rows:

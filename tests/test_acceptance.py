@@ -81,7 +81,7 @@ class TestCriterion1Gradients:
             return Tensor(rng.normal(size=shape), requires_grad=True)
 
         mix_ln = Tensor(rng.normal(size=(2, 5)))
-        mix_sm = Tensor(rng.normal(size=(2, 3, 3)))
+        mix_attn = Tensor(rng.normal(size=(2, 3, 4)))
         sweep(lambda a, b: ad.sum_all(ad.mul(ad.gelu(ad.add(a, b)), a)),
               lambda: (t((3, 4)), t((3, 4))))
         sweep(lambda a, b: ad.sum_all(ad.matmul(a, b)),
@@ -91,11 +91,11 @@ class TestCriterion1Gradients:
         sweep(lambda lg: ad.softmax_cross_entropy(lg, [0, 2, 1]),
               lambda: (t((3, 4)),))
         sweep(lambda p, q: ad.mse(p, q), lambda: (t((3, 4)), t((3, 4))))
-        sweep(lambda s: ad.sum_all(ad.mul(
-                  ad.masked_softmax(s, np.array([[True, True, False],
-                                                 [True, True, True]])),
-                  mix_sm)),
-              lambda: (t((2, 3, 3)),))
+        sweep(lambda q, k, v: ad.sum_all(ad.mul(
+                  ad.attention(q, k, v, np.array([[True, True, False],
+                                                  [True, True, True]]), 2),
+                  mix_attn)),
+              lambda: (t((2, 3, 4)), t((2, 3, 4)), t((2, 3, 4))))
         sweep(lambda r: ad.sum_all(ad.softplus(r)), lambda: (t(()),))
 
         # full combined loss on a sub-1k-parameter model, sampled coordinates

@@ -45,10 +45,10 @@ class TestMatmul:
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         run_gradcheck(lambda: ad.matmul(a, b), [a, b])
 
-    def test_batched_gradient(self, rng):
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        run_gradcheck(lambda: ad.matmul(a, b), [a, b])
+    def test_batched_right_operand_rejected(self):
+        # batched products live inside ad.attention; the right operand is a matrix
+        with pytest.raises(ValueError, match="unsupported ranks"):
+            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 3))))
 
     def test_rank3_by_rank2_gradient(self, rng):
         a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
@@ -179,18 +179,6 @@ class TestMse:
 
 
 class TestStructuralOps:
-    def test_slice_concat_roundtrip(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
-        parts = [ad.slice_last(x, i * 2, (i + 1) * 2) for i in range(3)]
-        got = ad.concat_last(parts)
-        np.testing.assert_array_equal(got.data, x.data)
-        run_gradcheck(lambda: ad.concat_last(
-            [ad.slice_last(x, 0, 2), ad.slice_last(x, 4, 6)]), [x])
-
-    def test_transpose_gradient(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        run_gradcheck(lambda: ad.transpose_last2(x), [x])
-
     def test_slice_rows_gradient(self, rng):
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         run_gradcheck(lambda: ad.slice_rows(x, 2), [x])
@@ -206,20 +194,6 @@ class TestStructuralOps:
         with pytest.raises(ValueError, match="id out of range"):
             ad.embedding(Tensor(np.ones((3, 2))), np.array([[4]]))
 
-    def test_masked_softmax_rows_sum_to_one(self, rng):
-        scores = Tensor(rng.normal(size=(2, 3, 4)))
-        mask = np.array([[True, True, False, True],
-                         [True, False, False, False]])
-        p = ad.masked_softmax(scores, mask).data
-        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
-        assert (p[0, :, 2] == 0.0).all()
-        assert (p[1, :, 1:] == 0.0).all()
-
-    def test_masked_softmax_gradient(self, rng):
-        scores = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
-        mask = np.array([[True, True, False], [True, True, True]])
-        run_gradcheck(lambda: ad.masked_softmax(scores, mask), [scores], tol=1e-5)
-
     def test_mean_pool_masked_hand_case(self):
         x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
         mask = np.array([[True, True, False]])
@@ -232,6 +206,69 @@ class TestStructuralOps:
                          [True, False, False, False]])
         run_gradcheck(lambda: ad.mean_pool_masked(x, mask), [x])
         run_gradcheck(lambda: ad.take_first_position(x), [x])
+
+
+class TestAttention:
+    MASK = np.array([[True, True, False, True],
+                     [True, False, False, False]])
+
+    @staticmethod
+    def reference(q, k, v, key_mask, n_heads):
+        """Plain per-head loop: softmax(q_h k_h^T / sqrt(hd)) v_h, concatenated."""
+        hd = q.shape[-1] // n_heads
+        heads = []
+        for h in range(n_heads):
+            lo, hi = h * hd, (h + 1) * hd
+            qh, kh, vh = (z[..., lo:hi].copy() for z in (q, k, v))
+            scores = (qh @ np.swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(hd))
+            scores = np.where(key_mask[:, None, :], scores, -np.inf)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            heads.append((e / e.sum(axis=-1, keepdims=True)) @ vh)
+        return np.concatenate(heads, axis=-1)
+
+    def qkv(self, rng, shape=(2, 4, 6)):
+        return [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3)]
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    def test_equals_per_head_reference(self, rng, n_heads):
+        q, k, v = self.qkv(rng)
+        got = ad.attention(q, k, v, self.MASK, n_heads)
+        assert got.data.shape == (2, 4, 6)
+        np.testing.assert_array_equal(
+            got.data, self.reference(q.data, k.data, v.data, self.MASK, n_heads))
+
+    def test_rows_are_probabilities(self, rng):
+        # one head, d == T, v[b, t] = e_t: each output row is that query's
+        # attention distribution over the keys
+        t = 4
+        q = Tensor(rng.normal(size=(2, t, t)))
+        k = Tensor(rng.normal(size=(2, t, t)))
+        v = Tensor(np.broadcast_to(np.eye(t), (2, t, t)).copy())
+        probs = ad.attention(q, k, v, self.MASK, n_heads=1).data
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+        assert (probs[0, :, 2] == 0.0).all()
+        assert (probs[1, :, 1:] == 0.0).all()
+
+    def test_gradient_under_partial_mask(self, rng):
+        q, k, v = self.qkv(rng)
+        run_gradcheck(lambda: ad.attention(q, k, v, self.MASK, 2), [q, k, v],
+                      tol=1e-5)
+
+    def test_shape_errors(self, rng):
+        q, k, v = self.qkv(rng)
+        with pytest.raises(ValueError, match="share one"):
+            ad.attention(q, k, Tensor(np.ones((2, 4, 4))), self.MASK, 2)
+        with pytest.raises(ValueError, match="share one"):
+            flat = Tensor(np.ones((4, 6)))
+            ad.attention(flat, flat, flat, self.MASK, 2)
+        with pytest.raises(ValueError, match="key_mask"):
+            ad.attention(q, k, v, self.MASK[:, :3], 2)
+
+    @pytest.mark.parametrize("n_heads", [0, 4])
+    def test_heads_must_divide_width(self, rng, n_heads):
+        q, k, v = self.qkv(rng)
+        with pytest.raises(ValueError, match="not divisible"):
+            ad.attention(q, k, v, self.MASK, n_heads)
 
 
 class TestBackwardSemantics:

@@ -168,6 +168,54 @@ class TestCorruptRunDir:
         assert run_cli("eval", "--run-dir", str(run)) == 3
         assert "vocab.tsv" in capsys.readouterr().err
 
+    def test_vocab_id_gap_is_3(self, tmp_path, trained_run, capsys):
+        # checkpoint shapes still match; only the ids say the vocab is wrong
+        run = self._copy(trained_run, tmp_path)
+        lines = (run / "vocab.tsv").read_text(encoding="utf-8").splitlines()
+        tok, idx = lines[-1].split("\t")
+        lines[-1] = f"{tok}\t{int(idx) + 5}"
+        (run / "vocab.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("eval", "--run-dir", str(run)) == 3
+        assert f"vocab.tsv:{len(lines)}: id" in capsys.readouterr().err
+
+
+def _spoil_line_2(path: Path) -> None:
+    """Put bytes that are not UTF-8 at the start of the file's second line."""
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff\xfe" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("target, code", [
+    ("config", 2), ("vocab", 3), ("corpus", 3), ("store", 3)])
+def test_non_utf8_input_is_typed_error(target, code, tmp_path, cfg_file,
+                                       trained_run, capsys):
+    if target == "config":
+        _spoil_line_2(cfg_file)
+        argv = ["--config", str(cfg_file), "train"]
+        spoiled = cfg_file
+    elif target == "vocab":
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        spoiled = run / "vocab.tsv"
+        _spoil_line_2(spoiled)
+        argv = ["eval", "--run-dir", str(run)]
+    else:
+        gen = tmp_path / "gen"
+        assert run_cli("--config", str(cfg_file), "--out", str(gen), "gen") == 0
+        seen = (gen / "languages.txt").read_text(encoding="utf-8").split()[1]
+        user_cfg = tmp_path / "user.cfg"
+        user_cfg.write_text(FAST_CFG + f"store_dir = {gen / 'store'}\n"
+                            f"corpus = {gen / 'corpus.tsv'}\nseen = {seen}\n",
+                            encoding="utf-8")
+        spoiled = gen / ("corpus.tsv" if target == "corpus" else "store/geo.tsv")
+        _spoil_line_2(spoiled)
+        argv = ["--config", str(user_cfg), "--out", str(tmp_path / "out"),
+                "train"]
+    capsys.readouterr()
+    assert run_cli(*argv) == code
+    assert f"{spoiled}:2: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestSweeps:
     def test_sweep_scale_rows(self, tmp_path):

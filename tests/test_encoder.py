@@ -96,17 +96,6 @@ class TestForward:
         with pytest.raises(ValueError, match="CLS"):
             batch_of([[0, 5]], mask=np.array([[False, True]]))
 
-    def test_attention_rows_sum_to_one(self):
-        params = init_encoder_params(CFG)
-        mask = np.array([[True, True, True, False]])
-        probs: list = []
-        encoder_forward(CFG, params, batch_of([[0, 5, 7, 2]], mask=mask),
-                        attn_probs=probs)
-        assert len(probs) == CFG.n_layers * CFG.n_heads
-        for p in probs:
-            np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
-            assert (p[..., 3] == 0.0).all()
-
 
 class TestPooling:
     def test_pool_cls_slice(self):

@@ -274,6 +274,31 @@ class TestSweepConsistency:
                [(r.label, r.per_seed) for r in pooled]
 
 
+class TestSweepBenchmarkReuse:
+    @pytest.mark.parametrize("sweep", ["scaling_sweep", "ablation_sweep"])
+    def test_one_benchmark_build_per_sweep(self, sweep, monkeypatch):
+        import lingualchemy.harness as harness
+
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return prepare_benchmark(cfg)
+
+        monkeypatch.setattr(harness, "prepare_benchmark", counting)
+        cfg = fast_cfg(n_langs=9, n_families=3, n_per_lang=24, epochs=1,
+                       seeds=(1,), threads=1)
+        rows = getattr(harness, sweep)(cfg)
+        assert len(rows) == 7
+        assert len(calls) == 1
+
+    def test_sweep_without_unseen_languages_rejected(self):
+        from lingualchemy.harness import scaling_sweep
+
+        with pytest.raises(ConfigError, match="unseen"):
+            scaling_sweep(fast_cfg(n_langs=6, n_families=3))
+
+
 class TestSweepShape:
     def test_feature_combo_labels(self):
         assert feature_combo_label(ALL_FEATURE_SETS) == "syntax_knn+syntax_avg+geo"
@@ -292,6 +317,33 @@ class TestSweepShape:
         assert table[0] == ["row", "recommended", "unseen_mean", "seed1", "seed2"]
         assert table[2][1] == "true"
         assert float(table[1][2]) == pytest.approx(0.55)
+
+
+class TestGraphSize:
+    def test_default_training_step_has_at_most_50_op_nodes(self):
+        # one node per layer for multi-head attention; a per-head loop of
+        # slice, transpose, matmul, scale and softmax nodes builds 114
+        from lingualchemy import autodiff as ad
+        from lingualchemy.alchemy import (ConstantScaling, combine_losses,
+                                          forward_losses, init_alchemy_model)
+        from lingualchemy.encoder import EncoderConfig
+        from lingualchemy.harness import make_token_batch
+
+        cfg = ExperimentConfig()
+        bench = prepare_benchmark(cfg)
+        examples = bench.corpus.for_langs(bench.seen).subset("train").examples
+        enc = EncoderConfig(vocab_size=len(bench.corpus.vocab),
+                            d_model=cfg.d_model, n_heads=cfg.n_heads,
+                            n_layers=cfg.n_layers, max_seq_len=cfg.max_seq_len)
+        model = init_alchemy_model(enc, n_outputs=cfg.n_classes,
+                                   d_uriel=bench.store.vector_dim(cfg.feature_sets),
+                                   feature_sets=cfg.feature_sets)
+        batch = make_token_batch(examples[:cfg.batch_size], bench.corpus.vocab,
+                                 cfg.max_seq_len, cfg.task)
+        l_cls, l_uriel = forward_losses(model, batch, bench.store, cfg.feature_sets)
+        total, _ = combine_losses(l_cls, l_uriel, ConstantScaling(cfg.factor))
+        op_nodes = [n for n in ad._topo_order(total) if n._parents]
+        assert len(op_nodes) <= 50
 
 
 class TestExportReport:

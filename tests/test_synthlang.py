@@ -7,6 +7,7 @@ from lingualchemy.synthlang import (GEO_ANCHORS, PAIR_SEPARATOR, Corpus,
                                     geo_feature_vector, haversine_angle,
                                     read_corpus_tsv, tokenize, unk_rate,
                                     write_corpus_tsv)
+from lingualchemy.errors import TsvFormatError
 from lingualchemy.uriel import ALL_FEATURE_SETS, FeatureSet, load_uriel_tsv, write_uriel_tsv
 
 
@@ -175,6 +176,20 @@ class TestTokenize:
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         assert Vocab.load(path).token_to_id == vocab.token_to_id
+
+    @pytest.mark.parametrize("body, line_no, message", [
+        ("<cls>\t0\n<unk>\t1\na\t7\n", 3, "outside 0..2"),
+        ("<cls>\t0\n<unk>\t1\na\t1\n", 3, "id 1 repeats line 2"),
+        ("<cls>\t0\na\t1\na\t2\n", 3, "repeated token .a."),
+        ("<cls>\t0\n<unk>\t-1\na\t2\n", 2, "outside 0..2"),
+    ])
+    def test_load_rejects_ids_that_are_not_dense(self, tmp_path, body,
+                                                 line_no, message):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(TsvFormatError, match=message) as info:
+            Vocab.load(path)
+        assert info.value.line_no == line_no
 
 
 class TestUnkRate:
