@@ -8,15 +8,17 @@ from lingualchemy.autodiff import AdamW, Tensor
 
 rng = np.random.default_rng(0)
 
-# a two-layer toy regression: y = gelu(x W1) W2
+# a two-layer toy regression: y = gelu(x W1 + b1) W2 + b2
 x = Tensor(rng.normal(size=(8, 4)))
 target = Tensor(rng.normal(size=(8, 2)))
 w1 = Tensor(rng.normal(size=(4, 6)) * 0.5, requires_grad=True)
 w2 = Tensor(rng.normal(size=(6, 2)) * 0.5, requires_grad=True)
+b1 = Tensor(np.zeros(6), requires_grad=True)
+b2 = Tensor(np.zeros(2), requires_grad=True)
 
 
 def loss_value():
-    return ad.mse(ad.matmul(ad.gelu(ad.matmul(x, w1)), w2), target)
+    return ad.mse(ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2), target)
 
 
 loss = loss_value()
@@ -40,7 +42,7 @@ ad.backward(loss)
 print(f"after second backward: {w1.grad.flat[i]:+.6f} (= 2x {g_once:+.6f})")
 
 # train the toy down with AdamW
-opt = AdamW([w1, w2], lr=3e-2)
+opt = AdamW([w1, b1, w2, b2], lr=3e-2)
 opt.zero_grad()
 for step in range(200):
     loss = loss_value()

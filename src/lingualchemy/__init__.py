@@ -14,7 +14,7 @@ from .alignment import (AlignmentFit, ClosedForm, GradientDescent,
                         SentenceRepSet, align_representations,
                         collect_sentence_reps, fit_alignment, r_squared)
 from .autodiff import AdamW, Tensor, backward, load_checkpoint, save_checkpoint
-from .encoder import (EncoderConfig, TokenBatch, encoder_forward,
+from .encoder import (EncoderConfig, TokenBatch, encode_cls, encoder_forward,
                       init_encoder_params, pool_cls, pool_mean_masked)
 from .errors import ConfigError, DataError, NumericError, UnknownLanguageError
 from .harness import (ExperimentConfig, MetricsReport, ablation_sweep,

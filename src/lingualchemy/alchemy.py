@@ -26,8 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
-from .encoder import (EncoderConfig, TokenBatch, encoder_forward,
-                      init_encoder_params, pool_cls)
+from .encoder import EncoderConfig, TokenBatch, encode_cls, init_encoder_params
 from .errors import NumericError
 from .uriel import FeatureSet, UrielStore
 
@@ -253,7 +252,7 @@ def project_to_uriel(model: AlchemyModel, pooled: Tensor) -> Tensor:
     """Affine map from pooled representations into linguistic-vector space."""
     if pooled.shape[-1] != model.cfg.d_model:
         raise ValueError(f"pooled dim {pooled.shape[-1]} != d_model {model.cfg.d_model}")
-    return ad.add_bias(ad.matmul(pooled, model.proj_w), model.proj_b)
+    return ad.linear(pooled, model.proj_w, model.proj_b)
 
 
 def uriel_loss(projected: Tensor, batch_langs: Sequence[str],
@@ -268,7 +267,7 @@ def uriel_loss(projected: Tensor, batch_langs: Sequence[str],
 
 
 def task_logits(model: AlchemyModel, pooled: Tensor) -> Tensor:
-    return ad.add_bias(ad.matmul(pooled, model.head_w), model.head_b)
+    return ad.linear(pooled, model.head_w, model.head_b)
 
 
 def _task_loss(model: AlchemyModel, logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -281,8 +280,7 @@ def _task_loss(model: AlchemyModel, logits: Tensor, labels: np.ndarray) -> Tenso
 def forward_losses(model: AlchemyModel, batch: TokenBatch, store: UrielStore,
                    sets: Sequence[FeatureSet]) -> tuple[Tensor, Tensor]:
     """One forward pass; returns (task loss, linguistic loss) graph nodes."""
-    hidden = encoder_forward(model.cfg, model.encoder, batch)
-    pooled = pool_cls(hidden)
+    pooled = encode_cls(model.cfg, model.encoder, batch)
     l_cls = _task_loss(model, task_logits(model, pooled), batch.labels)
     l_uriel = uriel_loss(project_to_uriel(model, pooled), batch.langs, store, sets)
     return l_cls, l_uriel
@@ -379,8 +377,7 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
 
 def predict_logits(model: AlchemyModel, batch: TokenBatch) -> np.ndarray:
     with ad.no_grad():
-        hidden = encoder_forward(model.cfg, model.encoder, batch)
-        return task_logits(model, pool_cls(hidden)).data
+        return task_logits(model, encode_cls(model.cfg, model.encoder, batch)).data
 
 
 def predict_classes(model: AlchemyModel, batch: TokenBatch) -> np.ndarray:

@@ -206,19 +206,26 @@ def softplus(x: Tensor) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of an (m,k) or (B,m,k) tensor by a (k,n) tensor."""
-    ad, bd = a.data, b.data
-    if ad.ndim not in (2, 3) or bd.ndim != 2:
-        raise ValueError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
-    if ad.shape[-1] != bd.shape[0]:
-        raise ValueError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    k, n = bd.shape
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of an (m,k) or (B,m,k) tensor by a (k,n)
+    weight and an (n,) bias, as one node."""
+    xd, wd = x.data, w.data
+    if xd.ndim not in (2, 3) or wd.ndim != 2:
+        raise ValueError(f"linear: unsupported ranks {xd.ndim} and {wd.ndim}")
+    if xd.shape[-1] != wd.shape[0]:
+        raise ValueError(f"linear: inner dims differ, {xd.shape} @ {wd.shape}")
+    k, n = wd.shape
+    if b.data.shape != (n,):
+        raise ValueError(f"linear: bias shape {b.data.shape} != {(n,)}")
+    lead = tuple(range(xd.ndim - 1))
 
     def vjp(g):
-        return g @ bd.T, np.ascontiguousarray(ad).reshape(-1, k).T @ g.reshape(-1, n)
+        gw = np.ascontiguousarray(xd).reshape(-1, k).T @ g.reshape(-1, n)
+        return g @ wd.T, gw, g.sum(axis=lead)
 
-    return _make(ad @ bd, (a, b), vjp)
+    out = xd @ wd
+    out += b.data
+    return _make(out, (x, w, b), vjp)
 
 
 def slice_rows(x: Tensor, stop: int) -> Tensor:
@@ -228,6 +235,15 @@ def slice_rows(x: Tensor, stop: int) -> Tensor:
         gx[:stop] = g
         return (gx,)
     return _make(x.data[:stop].copy(), (x,), vjp)
+
+
+def slice_positions(x: Tensor, stop: int) -> Tensor:
+    """(B, T, d) -> (B, stop, d): the first ``stop`` positions of each row."""
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[:, :stop] = g
+        return (gx,)
+    return _make(x.data[:, :stop].copy(), (x,), vjp)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -268,16 +284,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray,
               n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over (B, T, d) q, k and v.
+    """Multi-head scaled dot-product attention of (B, Tq, d) queries over
+    (B, T, d) keys and values, Tq <= T.
 
     Head h owns slice ``[h*hd, (h+1)*hd)`` of the last axis, hd = d / n_heads.
     ``key_mask`` is (B, T) boolean: masked-out keys get zero weight, and each
-    query must keep at least one valid key. Returns the merged (B, T, d) heads.
+    query must keep at least one valid key. Returns the merged (B, Tq, d) heads.
     """
-    shape = q.data.shape
-    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
-        raise ValueError("attention: q, k and v must share one (B, T, d) shape")
+    shape = k.data.shape
+    if len(shape) != 3 or v.data.shape != shape:
+        raise ValueError("attention: k and v must share one (B, T, d) shape")
     b, t, d = shape
+    qs = q.data.shape
+    if len(qs) != 3 or qs[0] != b or qs[2] != d or qs[1] > t:
+        raise ValueError(f"attention: q shape {qs} is not (B, Tq, d) with "
+                         f"Tq <= T for k and v of shape {shape}")
     if n_heads < 1 or d % n_heads:
         raise ValueError(f"attention: d={d} is not divisible by n_heads={n_heads}")
     key_mask = np.asarray(key_mask, dtype=bool)
@@ -286,18 +307,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray,
     hd = d // n_heads
     factor = 1.0 / np.sqrt(hd)
 
-    def heads(x):  # (B, T, d) -> (B, H, T, hd) view
-        return x.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+    def heads(x):  # (B, n, d) -> (B, H, n, hd) view
+        return x.reshape(b, x.shape[1], n_heads, hd).transpose(0, 2, 1, 3)
 
     def merge(x):  # C order keeps the downstream bias-gradient sums bit-stable
-        return np.ascontiguousarray(np.swapaxes(x, 1, 2)).reshape(b, t, d)
+        return np.ascontiguousarray(np.swapaxes(x, 1, 2)).reshape(b, x.shape[2], d)
 
     qh, kh, vh = (np.ascontiguousarray(heads(x.data)) for x in (q, k, v))
-    # softmax in place: separate (B, H, T, T) temporaries made batch-64 eval ~2x slower
+    # softmax in place: separate (B, H, Tq, T) temporaries made batch-64 eval ~2x slower
     p = qh @ np.swapaxes(kh, -1, -2)
     p *= factor
     np.copyto(p, -np.inf, where=~key_mask[:, None, None, :])
-    p -= p.max(axis=-1, keepdims=True)
+    # numpy reduces a short last axis slowly; a key-first copy gives the same max
+    p -= np.ascontiguousarray(np.moveaxis(p, -1, 0)).max(axis=0)[..., None]
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 

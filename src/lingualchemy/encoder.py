@@ -89,26 +89,29 @@ def init_encoder_params(cfg: EncoderConfig) -> dict[str, Tensor]:
     return params
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add_bias(ad.matmul(x, w), b)
+def _layer(cfg: EncoderConfig, params, i: int, x: Tensor, key_mask: np.ndarray,
+           n_out: int) -> Tensor:
+    """Pre-norm layer ``i`` over (B, T, d) states; returns (B, n_out, d).
 
-
-def _attention(cfg: EncoderConfig, params, i: int, x: Tensor,
-               key_mask: np.ndarray) -> Tensor:
-    q = _affine(x, params[f"l{i}.wq"], params[f"l{i}.bq"])
-    k = _affine(x, params[f"l{i}.wk"], params[f"l{i}.bk"])
-    v = _affine(x, params[f"l{i}.wv"], params[f"l{i}.bv"])
-    heads = ad.attention(q, k, v, key_mask, cfg.n_heads)
-    return _affine(heads, params[f"l{i}.wo"], params[f"l{i}.bo"])
-
-
-def encoder_forward(cfg: EncoderConfig, params: dict[str, Tensor],
-                    batch: TokenBatch) -> Tensor:
-    """Run the encoder; returns last hidden states of shape (B, T, d_model).
-
-    Masked positions are excluded as attention keys, so they cannot
-    influence any other position.
+    Keys and values come from every position; the queries, the residual
+    stream and the feed-forward block only from the first ``n_out``.
     """
+    def lin(x, name):
+        return ad.linear(x, params[f"l{i}.w{name}"], params[f"l{i}.b{name}"])
+
+    xn = ad.layer_norm(x, params[f"l{i}.ln1_g"], params[f"l{i}.ln1_b"])
+    k, v = lin(xn, "k"), lin(xn, "v")
+    if n_out < x.shape[1]:
+        x, xn = ad.slice_positions(x, n_out), ad.slice_positions(xn, n_out)
+    heads = ad.attention(lin(xn, "q"), k, v, key_mask, cfg.n_heads)
+    x = ad.add(x, lin(heads, "o"))
+    xn = ad.layer_norm(x, params[f"l{i}.ln2_g"], params[f"l{i}.ln2_b"])
+    return ad.add(x, lin(ad.gelu(lin(xn, "_up")), "_down"))
+
+
+def _encode(cfg: EncoderConfig, params: dict[str, Tensor], batch: TokenBatch,
+            n_out: int) -> Tensor:
+    """Final-layer-normed states of the first ``n_out`` positions, (B, n_out, d)."""
     ids, mask = batch.ids, batch.attention_mask
     t = ids.shape[1]
     if t > cfg.max_seq_len:
@@ -119,14 +122,26 @@ def encoder_forward(cfg: EncoderConfig, params: dict[str, Tensor],
     x = ad.add_bias(ad.embedding(params["tok_emb"], ids),
                     ad.slice_rows(params["pos_emb"], t))
     for i in range(cfg.n_layers):
-        xn = ad.layer_norm(x, params[f"l{i}.ln1_g"], params[f"l{i}.ln1_b"])
-        attn = _attention(cfg, params, i, xn, mask)
-        x = ad.add(x, attn)
-        xn = ad.layer_norm(x, params[f"l{i}.ln2_g"], params[f"l{i}.ln2_b"])
-        up = ad.gelu(_affine(xn, params[f"l{i}.w_up"], params[f"l{i}.b_up"]))
-        down = _affine(up, params[f"l{i}.w_down"], params[f"l{i}.b_down"])
-        x = ad.add(x, down)
+        x = _layer(cfg, params, i, x, mask, t if i < cfg.n_layers - 1 else n_out)
     return ad.layer_norm(x, params["ln_f_g"], params["ln_f_b"])
+
+
+def encoder_forward(cfg: EncoderConfig, params: dict[str, Tensor],
+                    batch: TokenBatch) -> Tensor:
+    """Run the encoder; returns last hidden states of shape (B, T, d_model).
+
+    Masked positions are excluded as attention keys, so they cannot
+    influence any other position.
+    """
+    return _encode(cfg, params, batch, batch.ids.shape[1])
+
+
+def encode_cls(cfg: EncoderConfig, params: dict[str, Tensor],
+               batch: TokenBatch) -> Tensor:
+    """``pool_cls(encoder_forward(...))``, (B, d_model), without the work
+    pooling discards: the last layer runs its query, residual and
+    feed-forward for position 0 only."""
+    return pool_cls(_encode(cfg, params, batch, 1))
 
 
 def pool_cls(hidden: Tensor) -> Tensor:

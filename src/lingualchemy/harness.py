@@ -523,10 +523,23 @@ class SweepRow:
         return float(np.mean([v for _, v in self.per_seed]))
 
 
-def _run_cell(args) -> float:
-    cfg, seed, bench = args
+def _run_cell(cfg: ExperimentConfig, seed: int, bench: Benchmark) -> float:
     report = run_experiment(cfg, seed=seed, persist=False, benchmark=bench)
     return report.aggregates["unseen_mean"]
+
+
+# A pool worker's sweep benchmark, set once per worker rather than sent with
+# every cell: under ``fork`` the workers inherit it and it is never pickled.
+_worker_benchmark: Benchmark | None = None
+
+
+def _set_worker_benchmark(bench: Benchmark) -> None:
+    global _worker_benchmark
+    _worker_benchmark = bench
+
+
+def _run_worker_cell(job) -> float:
+    return _run_cell(*job, _worker_benchmark)
 
 
 def _pool_width(cfg: ExperimentConfig, n_jobs: int) -> int:
@@ -534,12 +547,14 @@ def _pool_width(cfg: ExperimentConfig, n_jobs: int) -> int:
     return max(1, min(width, n_jobs))
 
 
-def _run_cells(cfg: ExperimentConfig, jobs: list) -> list[float]:
+def _run_cells(cfg: ExperimentConfig, bench: Benchmark, jobs: list) -> list[float]:
+    """Unseen means of the ``(cfg, seed)`` jobs, all on ``bench``."""
     width = _pool_width(cfg, len(jobs))
     if width == 1:
-        return [_run_cell(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(_run_cell, jobs))
+        return [_run_cell(vcfg, seed, bench) for vcfg, seed in jobs]
+    with ProcessPoolExecutor(max_workers=width, initializer=_set_worker_benchmark,
+                             initargs=(bench,)) as pool:
+        return list(pool.map(_run_worker_cell, jobs))
 
 
 def _sweep_benchmark(cfg: ExperimentConfig) -> Benchmark:
@@ -561,8 +576,8 @@ def scaling_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                          replace(cfg, scaling="constant", factor=factor)))
     variants.append(("AlchemyScale", replace(cfg, scaling="alchemy_scale")))
     variants.append(("AlchemyTune", replace(cfg, scaling="alchemy_tune")))
-    jobs = [(vcfg, seed, bench) for _, vcfg in variants for seed in cfg.seeds]
-    values = _run_cells(cfg, jobs)
+    jobs = [(vcfg, seed) for _, vcfg in variants for seed in cfg.seeds]
+    values = _run_cells(cfg, bench, jobs)
     rows = []
     for i, (label, _) in enumerate(variants):
         cells = values[i * len(cfg.seeds):(i + 1) * len(cfg.seeds)]
@@ -582,9 +597,9 @@ def ablation_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
                           if bits >> i & 1)
             if len(combo) == size and combo not in combos:
                 combos.append(combo)
-    jobs = [(replace(cfg, feature_sets=combo), seed, bench)
+    jobs = [(replace(cfg, feature_sets=combo), seed)
             for combo in combos for seed in cfg.seeds]
-    values = _run_cells(cfg, jobs)
+    values = _run_cells(cfg, bench, jobs)
     rows = []
     for i, combo in enumerate(combos):
         cells = values[i * len(cfg.seeds):(i + 1) * len(cfg.seeds)]

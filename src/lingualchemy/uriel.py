@@ -213,7 +213,9 @@ class UrielStore:
 
     def target_matrix(self, langs: Sequence[str], sets: Sequence[FeatureSet]) -> np.ndarray:
         """Stack per-language vectors for a batch; rows repeat with languages."""
-        return np.stack([self.get_vector(lang, sets).values for lang in langs])
+        vectors = {lang: self.get_vector(lang, sets).values
+                   for lang in dict.fromkeys(langs)}
+        return np.stack([vectors[lang] for lang in langs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UrielStore):

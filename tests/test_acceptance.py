@@ -84,8 +84,8 @@ class TestCriterion1Gradients:
         mix_attn = Tensor(rng.normal(size=(2, 3, 4)))
         sweep(lambda a, b: ad.sum_all(ad.mul(ad.gelu(ad.add(a, b)), a)),
               lambda: (t((3, 4)), t((3, 4))))
-        sweep(lambda a, b: ad.sum_all(ad.matmul(a, b)),
-              lambda: (t((3, 4)), t((4, 2))))
+        sweep(lambda x, w, b: ad.sum_all(ad.linear(x, w, b)),
+              lambda: (t((3, 4)), t((4, 2)), t(2)))
         sweep(lambda x, g, b: ad.sum_all(ad.mul(ad.layer_norm(x, g, b), mix_ln)),
               lambda: (t((2, 5)), t(5), t(5)))
         sweep(lambda lg: ad.softmax_cross_entropy(lg, [0, 2, 1]),
@@ -190,7 +190,7 @@ class TestCriterion3UrielLossOracle:
 class TestCriterion4ZeroRegularizerEquivalence:
     def test_bit_match_fifty_steps(self, tiny_store):
         from lingualchemy.alchemy import _task_loss, task_logits
-        from lingualchemy.encoder import encoder_forward, pool_cls
+        from lingualchemy.encoder import encode_cls
 
         cfg = EncoderConfig(vocab_size=13, d_model=8, n_heads=2, n_layers=1,
                             max_seq_len=8, seed=21)
@@ -207,9 +207,8 @@ class TestCriterion4ZeroRegularizerEquivalence:
         for step in range(50):
             train_step(regularized, batch, tiny_store,
                        [FeatureSet.SYNTAX_KNN], scaling, opt_r)
-            hidden = encoder_forward(plain.cfg, plain.encoder, batch)
-            loss = _task_loss(plain, task_logits(plain, pool_cls(hidden)),
-                              batch.labels)
+            pooled = encode_cls(plain.cfg, plain.encoder, batch)
+            loss = _task_loss(plain, task_logits(plain, pooled), batch.labels)
             ad.backward(loss)
             opt_p.step()
             opt_p.zero_grad()

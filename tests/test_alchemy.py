@@ -384,16 +384,15 @@ class TestZeroRegularizerEquivalence:
 
         plain = tiny_model(seed=seed)
         from lingualchemy.alchemy import _task_loss, task_logits
-        from lingualchemy.encoder import encoder_forward, pool_cls
+        from lingualchemy.encoder import encode_cls
         from lingualchemy.autodiff import AdamW
 
         opt_p = AdamW(plain.task_parameters(), lr=1e-3, weight_decay=0.01)
 
         for step in range(50):
             train_step(regularized, batch, small_store, SETS, scaling, opt_r)
-            hidden = encoder_forward(plain.cfg, plain.encoder, batch)
-            loss = _task_loss(plain, task_logits(plain, pool_cls(hidden)),
-                              batch.labels)
+            pooled = encode_cls(plain.cfg, plain.encoder, batch)
+            loss = _task_loss(plain, task_logits(plain, pooled), batch.labels)
             ad.backward(loss)
             opt_p.step()
             opt_p.zero_grad()

@@ -25,35 +25,40 @@ def run_gradcheck(build, tensors, tol=1e-6):
         t.zero_grad()
 
 
-class TestMatmul:
+class TestLinear:
     def test_hand_product(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[1.0], [1.0]])
-        assert ad.matmul(a, b).data.tolist() == [[3.0], [7.0]]
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        w = Tensor([[1.0], [1.0]])
+        assert ad.linear(x, w, Tensor([0.5])).data.tolist() == [[3.5], [7.5]]
 
     def test_identity(self, rng):
         x = rng.normal(size=(3, 3))
-        got = ad.matmul(Tensor(np.eye(3)), Tensor(x)).data
+        got = ad.linear(Tensor(x), Tensor(np.eye(3)), Tensor(np.zeros(3))).data
         np.testing.assert_array_equal(got, x)
 
-    def test_shape_mismatch(self):
+    def test_shape_errors(self):
         with pytest.raises(ValueError, match="inner dims"):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
+                      Tensor(np.ones(3)))
+        with pytest.raises(ValueError, match="bias shape"):
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))),
+                      Tensor(np.ones(3)))
+        # batched products live inside ad.attention; the weight is a matrix
+        with pytest.raises(ValueError, match="unsupported ranks"):
+            ad.linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 3))),
+                      Tensor(np.ones(3)))
 
     def test_gradient_vs_finite_differences(self, rng):
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        run_gradcheck(lambda: ad.matmul(a, b), [a, b])
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        run_gradcheck(lambda: ad.linear(x, w, b), [x, w, b])
 
-    def test_batched_right_operand_rejected(self):
-        # batched products live inside ad.attention; the right operand is a matrix
-        with pytest.raises(ValueError, match="unsupported ranks"):
-            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 3))))
-
-    def test_rank3_by_rank2_gradient(self, rng):
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        run_gradcheck(lambda: ad.matmul(a, b), [a, b])
+    def test_rank3_gradient(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        run_gradcheck(lambda: ad.linear(x, w, b), [x, w, b])
 
 
 class TestElementwise:
@@ -206,6 +211,7 @@ class TestStructuralOps:
                          [True, False, False, False]])
         run_gradcheck(lambda: ad.mean_pool_masked(x, mask), [x])
         run_gradcheck(lambda: ad.take_first_position(x), [x])
+        run_gradcheck(lambda: ad.slice_positions(x, 2), [x])
 
 
 class TestAttention:
@@ -254,6 +260,19 @@ class TestAttention:
         run_gradcheck(lambda: ad.attention(q, k, v, self.MASK, 2), [q, k, v],
                       tol=1e-5)
 
+    def test_first_query_row_equals_row_zero_of_full_result(self, rng):
+        q, k, v = self.qkv(rng)
+        full = ad.attention(q, k, v, self.MASK, 2).data
+        first = ad.attention(Tensor(q.data[:, :1]), k, v, self.MASK, 2).data
+        assert first.shape == (2, 1, 6)
+        np.testing.assert_allclose(first, full[:, :1], rtol=0, atol=1e-12)
+
+    def test_gradient_with_fewer_queries_than_keys(self, rng):
+        q = Tensor(rng.normal(size=(2, 1, 6)), requires_grad=True)
+        _, k, v = self.qkv(rng)
+        run_gradcheck(lambda: ad.attention(q, k, v, self.MASK, 2), [q, k, v],
+                      tol=1e-5)
+
     def test_shape_errors(self, rng):
         q, k, v = self.qkv(rng)
         with pytest.raises(ValueError, match="share one"):
@@ -263,6 +282,8 @@ class TestAttention:
             ad.attention(flat, flat, flat, self.MASK, 2)
         with pytest.raises(ValueError, match="key_mask"):
             ad.attention(q, k, v, self.MASK[:, :3], 2)
+        with pytest.raises(ValueError, match="Tq <= T"):
+            ad.attention(Tensor(np.ones((2, 5, 6))), k, v, self.MASK, 2)
 
     @pytest.mark.parametrize("n_heads", [0, 4])
     def test_heads_must_divide_width(self, rng, n_heads):
@@ -307,7 +328,8 @@ class TestBackwardSemantics:
             r = np.random.default_rng(7)
             a = Tensor(r.normal(size=(4, 4)), requires_grad=True)
             b = Tensor(r.normal(size=(4, 4)), requires_grad=True)
-            loss = ad.mse(ad.gelu(ad.matmul(a, b)), Tensor(np.zeros((4, 4))))
+            c = Tensor(r.normal(size=4), requires_grad=True)
+            loss = ad.mse(ad.gelu(ad.linear(a, b, c)), Tensor(np.zeros((4, 4))))
             ad.backward(loss)
             return loss.item(), a.grad.copy()
 
@@ -366,9 +388,10 @@ class TestGradProperty:
             a = Tensor(r.normal(size=(3, 4)), requires_grad=True)
             b = Tensor(r.normal(size=(3, 4)), requires_grad=True)
             m = Tensor(r.normal(size=(4, 2)), requires_grad=True)
+            c = Tensor(r.normal(size=2), requires_grad=True)
             run_gradcheck(lambda: ad.mul(ad.add(a, b), ad.sub(a, b)), [a, b],
                           tol=1e-4)
-            run_gradcheck(lambda: ad.matmul(ad.gelu(a), m), [a, m], tol=1e-4)
+            run_gradcheck(lambda: ad.linear(ad.gelu(a), m, c), [a, m, c], tol=1e-4)
 
 
 class TestCheckpoint:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from lingualchemy import autodiff as ad
-from lingualchemy.encoder import (EncoderConfig, TokenBatch, encoder_forward,
-                                  init_encoder_params, pool_cls,
-                                  pool_mean_masked)
+from lingualchemy.encoder import (EncoderConfig, TokenBatch, encode_cls,
+                                  encoder_forward, init_encoder_params,
+                                  pool_cls, pool_mean_masked)
 
 from gradcheck import finite_difference_grad, relative_error
 
@@ -95,6 +95,39 @@ class TestForward:
     def test_cls_mask_enforced(self):
         with pytest.raises(ValueError, match="CLS"):
             batch_of([[0, 5]], mask=np.array([[False, True]]))
+
+
+class TestEncodeCls:
+    """The CLS-only last layer gives what pooling the full states gives."""
+
+    @staticmethod
+    def value_and_grads(build, params, weights):
+        out = build()
+        ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(weights))))
+        grads = {name: p.grad.copy() for name, p in params.items()}
+        ad.zero_grads(params.values())
+        return out.data, grads
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_matches_pooled_full_forward(self, n_layers):
+        cfg = EncoderConfig(**{**CFG.__dict__, "n_layers": n_layers})
+        params = init_encoder_params(cfg)
+        mask = np.array([[True, True, True, True, True],
+                         [True, True, True, False, False],
+                         [True, False, False, False, False]])
+        batch = batch_of([[0, 5, 7, 3, 1], [0, 2, 2, 9, 9], [0, 4, 0, 0, 0]],
+                         mask=mask)
+        weights = np.random.default_rng(n_layers).normal(size=(3, cfg.d_model))
+        full, full_grads = self.value_and_grads(
+            lambda: pool_cls(encoder_forward(cfg, params, batch)), params, weights)
+        cls, cls_grads = self.value_and_grads(
+            lambda: encode_cls(cfg, params, batch), params, weights)
+        assert cls.shape == (3, cfg.d_model)
+        np.testing.assert_allclose(cls, full, rtol=0, atol=1e-12)
+        assert full_grads.keys() == cls_grads.keys()
+        for name in full_grads:
+            np.testing.assert_allclose(cls_grads[name], full_grads[name],
+                                       rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestPooling:

@@ -114,6 +114,32 @@ class TestGetVector:
             geo_store.get_vector("aaa", [])
 
 
+class TestTargetMatrix:
+    def test_rows_follow_languages_with_repeats(self, geo_store):
+        langs = ["ccc", "aaa", "ccc", "bbb", "aaa"]
+        got = geo_store.target_matrix(langs, [FeatureSet.GEO])
+        expected = np.stack([geo_store.get_vector(lang, [FeatureSet.GEO]).values
+                             for lang in langs])
+        assert got.shape == (5, 2)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_each_distinct_language_fetched_once(self, geo_store, monkeypatch):
+        fetched = []
+        original = UrielStore.get_vector
+
+        def counting(self, lang, sets):
+            fetched.append(lang)
+            return original(self, lang, sets)
+
+        monkeypatch.setattr(UrielStore, "get_vector", counting)
+        geo_store.target_matrix(["bbb", "aaa", "bbb", "bbb", "aaa"], [FeatureSet.GEO])
+        assert fetched == ["bbb", "aaa"]
+
+    def test_unknown_language_among_repeats_named(self, geo_store):
+        with pytest.raises(UnknownLanguageError, match="zzz"):
+            geo_store.target_matrix(["aaa", "aaa", "zzz", "bbb"], [FeatureSet.GEO])
+
+
 class TestNearestLanguages:
     def test_hand_distances(self, geo_store):
         got = geo_store.nearest_languages("aaa", [FeatureSet.GEO], k=2)
