@@ -104,13 +104,6 @@ def _raw_unit_lambda() -> Tensor:
     return Tensor(np.log(np.e - 1.0), requires_grad=True)
 
 
-def alchemy_scale_init(l_cls_0: float, l_uriel_0: float,
-                       decay: float = 0.9, update_period: int = 100) -> AlchemyScale:
-    """A fresh state set up from the initial losses."""
-    return alchemy_scale_update(AlchemyScale(decay=decay, update_period=update_period),
-                                l_cls_0, l_uriel_0)
-
-
 def alchemy_scale_update(state: AlchemyScale, l_cls: float, l_uriel: float) -> AlchemyScale:
     """Feed one step's losses into the state.
 
@@ -212,10 +205,6 @@ class AlchemyModel:
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
-
-    def task_parameters(self) -> list[Tensor]:
-        """Everything the plain (regularizer-free) path trains."""
-        return list(self.encoder.values()) + [self.head_w, self.head_b]
 
 
 def init_alchemy_model(cfg: EncoderConfig, n_outputs: int, d_uriel: int,

@@ -67,7 +67,7 @@ def collect_sentence_reps(model: AlchemyModel, batches: Sequence[TokenBatch],
     with ad.no_grad():
         for batch in batches:
             hidden = encoder_forward(model.cfg, model.encoder, batch)
-            reps.append(pool_mean_masked(hidden, batch.attention_mask).data)
+            reps.append(pool_mean_masked(hidden.data, batch.attention_mask))
             langs.extend(batch.langs)
     reps = np.concatenate(reps, axis=0)
     targets = store.target_matrix(langs, sets)

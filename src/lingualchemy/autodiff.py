@@ -56,9 +56,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -120,11 +117,6 @@ def backward(loss: Tensor) -> None:
         node.grad = g if node.grad is None else node.grad + g
 
 
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
-
-
 # ---------------------------------------------------------------------------
 # elementwise / broadcast ops
 # ---------------------------------------------------------------------------
@@ -154,29 +146,12 @@ def add(a: Tensor, b) -> Tensor:
                  lambda g: (_reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    _check_binary_shapes(a, b, "sub")
-    return _make(a.data - b.data, (a, b),
-                 lambda g: (_reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)))
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     _check_binary_shapes(a, b, "mul")
     return _make(a.data * b.data, (a, b),
                  lambda g: (_reduce_to(g * b.data, a.data.shape),
                             _reduce_to(g * a.data, b.data.shape)))
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a parameter whose shape is a trailing suffix of x (e.g. a bias row)."""
-    bs = b.data.shape
-    if x.data.shape[x.data.ndim - b.data.ndim:] != bs:
-        raise ValueError(f"add_bias: {bs} is not a suffix of {x.data.shape}")
-    lead = tuple(range(x.data.ndim - b.data.ndim))
-    return _make(x.data + b.data, (x, b),
-                 lambda g: (g, g.sum(axis=lead) if lead else g))
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -228,15 +203,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, w, b), vjp)
 
 
-def slice_rows(x: Tensor, stop: int) -> Tensor:
-    """First ``stop`` rows along axis 0."""
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[:stop] = g
-        return (gx,)
-    return _make(x.data[:stop].copy(), (x,), vjp)
-
-
 def slice_positions(x: Tensor, stop: int) -> Tensor:
     """(B, T, d) -> (B, stop, d): the first ``stop`` positions of each row."""
     def vjp(g):
@@ -246,18 +212,29 @@ def slice_positions(x: Tensor, stop: int) -> Tensor:
     return _make(x.data[:, :stop].copy(), (x,), vjp)
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather from an embedding table; grads scatter-add back."""
+def embedding(tok: Tensor, pos: Tensor, ids: np.ndarray) -> Tensor:
+    """``tok[ids] + pos[:T]`` for (B, T) token ids: token rows plus the
+    learned embedding of each position.
+
+    Token grads scatter-add back into ``tok``; position grads sum over the
+    batch into rows ``[:T]`` of ``pos``.
+    """
     ids = np.asarray(ids)
-    if ids.min() < 0 or ids.max() >= table.data.shape[0]:
-        raise ValueError("embedding: id out of range")
+    t = ids.shape[1]
+    if t > pos.data.shape[0]:
+        raise ValueError(f"embedding: sequence length {t} exceeds "
+                         f"max_seq_len {pos.data.shape[0]}")
+    if ids.min() < 0 or ids.max() >= tok.data.shape[0]:
+        raise ValueError("embedding: token id out of range of the vocabulary")
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        return (gt,)
+        gt = np.zeros_like(tok.data)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, tok.data.shape[1]))
+        gp = np.zeros_like(pos.data)
+        gp[:t] = g.sum(axis=0)
+        return gt, gp
 
-    return _make(table.data[ids], (table,), vjp)
+    return _make(tok.data[ids] + pos.data[:t], (tok, pos), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -337,12 +314,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _make(x.data * factor, (x,), lambda g: (g * factor,))
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Scalar sum of every element."""
-    return _make(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,),
-                 lambda g: (np.broadcast_to(g, x.data.shape),))
-
-
 # ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
@@ -354,21 +325,6 @@ def take_first_position(x: Tensor) -> Tensor:
         gx[:, 0, :] = g
         return (gx,)
     return _make(x.data[:, 0, :].copy(), (x,), vjp)
-
-
-def mean_pool_masked(x: Tensor, mask: np.ndarray) -> Tensor:
-    """(B, T, d) -> (B, d) mean over mask-true positions per row."""
-    mask = np.asarray(mask, dtype=bool)
-    counts = mask.sum(axis=1)
-    if (counts == 0).any():
-        raise ValueError("mean_pool_masked: a row has no unmasked position")
-    w = mask.astype(x.data.dtype) / counts[:, None]
-    out = np.einsum("btd,bt->bd", x.data, w)
-
-    def vjp(g):
-        return (g[:, None, :] * w[:, :, None],)
-
-    return _make(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +412,8 @@ class AdamW:
                 p.data = p.data - self.lr * self.weight_decay * p.data
 
     def zero_grad(self):
-        zero_grads(self.params)
+        for p in self.params:
+            p.zero_grad()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ family-gen. Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,14 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment as al
-from .alchemy import AlchemyModel, init_alchemy_model
+from .alchemy import AlchemyModel
 from .autodiff import load_checkpoint
-from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, NumericError
 from .harness import (Benchmark, ExperimentConfig, _evaluate, ablation_sweep,
-                      export_sweep, family_split_experiment, make_token_batch,
-                      parse_config, prepare_benchmark, run_experiment,
-                      scaling_sweep, svg_line_chart)
+                      build_model, export_sweep, family_split_experiment,
+                      make_token_batch, parse_config, prepare_benchmark,
+                      run_experiment, scaling_sweep, svg_line_chart)
 from .synthlang import Corpus, Vocab, write_corpus_tsv
 from .uriel import write_uriel_tsv
 
@@ -69,13 +69,7 @@ def cmd_train(args) -> int:
 
 def _rebuild_model(cfg: ExperimentConfig, vocab: Vocab, d_uriel: int,
                    checkpoint: Path) -> AlchemyModel:
-    enc_cfg = EncoderConfig(vocab_size=len(vocab), d_model=cfg.d_model,
-                            n_heads=cfg.n_heads, n_layers=cfg.n_layers,
-                            max_seq_len=cfg.max_seq_len, seed=cfg.seeds[0])
-    task = "classification" if cfg.task == "classification" else "regression"
-    model = init_alchemy_model(
-        enc_cfg, n_outputs=cfg.n_classes if task == "classification" else 1,
-        d_uriel=d_uriel, feature_sets=cfg.feature_sets, task=task)
+    model = build_model(cfg, len(vocab), d_uriel, cfg.seeds[0])
     weights = load_checkpoint(checkpoint)
     for name, tensor in model.named_parameters():
         if name not in weights:
@@ -167,19 +161,17 @@ def cmd_family_gen(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trajectories: dict[str, list[float]] = {}
+    rows = []
     for seed in cfg.seeds:
         reports = family_split_experiment(cfg, seed=seed)
-        for gi, report in enumerate(reports):
-            for lang, split_tag, value in report.rows:
-                if split_tag == "unseen":
-                    key = f"{lang}:group{gi + 1}:seed{seed}"
-                    trajectories[key] = value
-    with open(out / "family_trajectory.csv", "w", encoding="utf-8") as fh:
-        fh.write("lang,group,seed,value\n")
-        for key in trajectories:
-            lang, group, seed_s = key.split(":")
-            fh.write(f"{lang},{group[5:]},{seed_s[4:]},{trajectories[key]!r}\n")
+        for group, report in enumerate(reports, start=1):
+            rows += [(lang, group, seed, repr(value))
+                     for lang, split_tag, value in report.rows
+                     if split_tag == "unseen"]
+    with open(out / "family_trajectory.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lang", "group", "seed", "value"])
+        writer.writerows(rows)
     print(f"wrote {out / 'family_trajectory.csv'}")
     return 0
 

@@ -25,8 +25,9 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
+        if self.d_model < 1 or self.n_heads < 1 or self.d_model % self.n_heads:
+            raise ValueError(f"d_model ({self.d_model}) must be positive and "
+                             f"divisible by n_heads ({self.n_heads})")
         if self.max_seq_len < 2:
             raise ValueError("max_seq_len must be at least 2 (CLS + one token)")
 
@@ -112,17 +113,11 @@ def _layer(cfg: EncoderConfig, params, i: int, x: Tensor, key_mask: np.ndarray,
 def _encode(cfg: EncoderConfig, params: dict[str, Tensor], batch: TokenBatch,
             n_out: int) -> Tensor:
     """Final-layer-normed states of the first ``n_out`` positions, (B, n_out, d)."""
-    ids, mask = batch.ids, batch.attention_mask
-    t = ids.shape[1]
-    if t > cfg.max_seq_len:
-        raise ValueError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
-    if ids.max() >= cfg.vocab_size or ids.min() < 0:
-        raise ValueError("token id out of vocabulary range")
-
-    x = ad.add_bias(ad.embedding(params["tok_emb"], ids),
-                    ad.slice_rows(params["pos_emb"], t))
+    t = batch.ids.shape[1]
+    x = ad.embedding(params["tok_emb"], params["pos_emb"], batch.ids)
     for i in range(cfg.n_layers):
-        x = _layer(cfg, params, i, x, mask, t if i < cfg.n_layers - 1 else n_out)
+        x = _layer(cfg, params, i, x, batch.attention_mask,
+                   t if i < cfg.n_layers - 1 else n_out)
     return ad.layer_norm(x, params["ln_f_g"], params["ln_f_b"])
 
 
@@ -149,6 +144,12 @@ def pool_cls(hidden: Tensor) -> Tensor:
     return ad.take_first_position(hidden)
 
 
-def pool_mean_masked(hidden: Tensor, mask: np.ndarray) -> Tensor:
-    """Sentence representation as the mean over unmasked positions."""
-    return ad.mean_pool_masked(hidden, mask)
+def pool_mean_masked(hidden: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Sentence representations, (B, d), as the mean of the (B, T, d) hidden
+    states over each row's unmasked positions. Plain numpy: nothing trains
+    through it."""
+    mask = np.asarray(mask, dtype=bool)
+    counts = mask.sum(axis=1)
+    if (counts == 0).any():
+        raise ValueError("pool_mean_masked: a row has no unmasked position")
+    return np.einsum("btd,bt->bd", hidden, mask.astype(hidden.dtype) / counts[:, None])

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .alchemy import (AlchemyScale, AlchemyTune, ConstantScaling, ScalingState,
-                      TRACE_HEADER, init_alchemy_model, predict_classes,
-                      predict_logits, train_loop)
+from .alchemy import (AlchemyModel, AlchemyScale, AlchemyTune, ConstantScaling,
+                      ScalingState, TRACE_HEADER, init_alchemy_model,
+                      predict_classes, predict_logits, train_loop)
 from .autodiff import save_checkpoint
 from .encoder import EncoderConfig, TokenBatch
 from .errors import ConfigError, DataError, NumericError, read_text_lines
@@ -154,7 +154,8 @@ def _parse_value(key: str, raw: str, line_no: int):
         raise
     except ValueError:
         raise ConfigError(f"line {line_no}: bad value {raw!r} for key "
-                          f"{key!r} (expected {kind.__name__})") from None
+                          f"{key!r} (expected {getattr(kind, '__name__', kind)})"
+                          ) from None
     raise AssertionError(kind)
 
 
@@ -205,6 +206,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                 "n_per_lang", "n_classes"):
         if getattr(cfg, key) < (0 if key == "epochs" else 1):
             raise ConfigError(f"{key} must be positive")
+    try:
+        _encoder_config(cfg, vocab_size=1, seed=0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -380,6 +385,22 @@ def make_token_batch(examples: list[Example], vocab: Vocab,
                       langs=tuple(e.lang for e in examples), labels=labels)
 
 
+def _encoder_config(cfg: ExperimentConfig, vocab_size: int, seed: int) -> EncoderConfig:
+    return EncoderConfig(vocab_size=vocab_size, d_model=cfg.d_model,
+                         n_heads=cfg.n_heads, n_layers=cfg.n_layers,
+                         max_seq_len=cfg.max_seq_len, seed=seed)
+
+
+def build_model(cfg: ExperimentConfig, vocab_size: int, d_uriel: int,
+                seed: int) -> AlchemyModel:
+    """The untrained model that a run of ``cfg`` with ``seed`` starts from."""
+    task = "classification" if cfg.task == "classification" else "regression"
+    return init_alchemy_model(
+        _encoder_config(cfg, vocab_size, seed),
+        n_outputs=cfg.n_classes if task == "classification" else 1,
+        d_uriel=d_uriel, feature_sets=cfg.feature_sets, task=task)
+
+
 def _make_scaling(cfg: ExperimentConfig) -> ScalingState:
     if cfg.scaling == "constant":
         return ConstantScaling(cfg.factor)
@@ -410,16 +431,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     train_corpus = bench.corpus.for_langs(bench.seen).subset("train")
     if not train_corpus.examples:
         raise DataError("no training examples for the seen languages")
-    enc_cfg = EncoderConfig(vocab_size=len(bench.corpus.vocab),
-                            d_model=cfg.d_model, n_heads=cfg.n_heads,
-                            n_layers=cfg.n_layers, max_seq_len=cfg.max_seq_len,
-                            seed=seed)
-    task = "classification" if cfg.task == "classification" else "regression"
-    model = init_alchemy_model(
-        enc_cfg,
-        n_outputs=cfg.n_classes if task == "classification" else 1,
-        d_uriel=bench.store.vector_dim(cfg.feature_sets),
-        feature_sets=cfg.feature_sets, task=task)
+    model = build_model(cfg, len(bench.corpus.vocab),
+                        bench.store.vector_dim(cfg.feature_sets), seed)
     scaling = _make_scaling(cfg)
 
     train_examples = train_corpus.examples

@@ -1,12 +1,21 @@
-"""Central finite-difference oracle for gradient tests.
+"""Central finite-difference oracle for gradient tests, plus ``sum_all``.
 
-Kept independent of the autodiff backward rules: it only calls forward
-evaluations of a loss function at perturbed parameter values.
+The oracle is kept independent of the autodiff backward rules: it only calls
+forward evaluations of a loss function at perturbed parameter values.
+``sum_all`` is the one op the tests add to the engine, to reduce an op's
+output to a scalar loss.
 """
 
 import numpy as np
 
+from lingualchemy import autodiff as ad
 from lingualchemy.autodiff import Tensor
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """Scalar sum of every element, as a graph node."""
+    return ad._make(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,),
+                    lambda g: (np.broadcast_to(g, x.data.shape),))
 
 
 def finite_difference_grad(loss_fn, tensor: Tensor, h: float = 1e-5,

@@ -13,10 +13,10 @@ import pytest
 
 from lingualchemy import autodiff as ad
 from lingualchemy.alchemy import (AlchemyScale, AlchemyTune, ConstantScaling,
-                                  alchemy_scale_init, alchemy_scale_update,
-                                  combine_losses, forward_losses,
-                                  init_alchemy_model, make_optimizer,
-                                  predict_classes, train_step, uriel_loss)
+                                  alchemy_scale_update, combine_losses,
+                                  forward_losses, init_alchemy_model,
+                                  make_optimizer, predict_classes, train_step,
+                                  uriel_loss)
 from lingualchemy.alignment import (ClosedForm, GradientDescent,
                                     SentenceRepSet, fit_alignment)
 from lingualchemy.autodiff import AdamW, Tensor
@@ -28,7 +28,7 @@ from lingualchemy.synthlang import (Corpus, Example, Vocab, generate_corpus,
 from lingualchemy.uriel import ALL_FEATURE_SETS, FeatureSet, load_uriel_tsv
 
 from conftest import write_tsv
-from gradcheck import finite_difference_grad, relative_error
+from gradcheck import finite_difference_grad, relative_error, sum_all
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -82,21 +82,25 @@ class TestCriterion1Gradients:
 
         mix_ln = Tensor(rng.normal(size=(2, 5)))
         mix_attn = Tensor(rng.normal(size=(2, 3, 4)))
-        sweep(lambda a, b: ad.sum_all(ad.mul(ad.gelu(ad.add(a, b)), a)),
+        sweep(lambda a, b: sum_all(ad.mul(ad.gelu(ad.add(a, b)), a)),
               lambda: (t((3, 4)), t((3, 4))))
-        sweep(lambda x, w, b: ad.sum_all(ad.linear(x, w, b)),
+        sweep(lambda x, w, b: sum_all(ad.linear(x, w, b)),
               lambda: (t((3, 4)), t((4, 2)), t(2)))
-        sweep(lambda x, g, b: ad.sum_all(ad.mul(ad.layer_norm(x, g, b), mix_ln)),
+        sweep(lambda x, g, b: sum_all(ad.mul(ad.layer_norm(x, g, b), mix_ln)),
               lambda: (t((2, 5)), t(5), t(5)))
         sweep(lambda lg: ad.softmax_cross_entropy(lg, [0, 2, 1]),
               lambda: (t((3, 4)),))
         sweep(lambda p, q: ad.mse(p, q), lambda: (t((3, 4)), t((3, 4))))
-        sweep(lambda q, k, v: ad.sum_all(ad.mul(
+        sweep(lambda q, k, v: sum_all(ad.mul(
                   ad.attention(q, k, v, np.array([[True, True, False],
                                                   [True, True, True]]), 2),
                   mix_attn)),
               lambda: (t((2, 3, 4)), t((2, 3, 4)), t((2, 3, 4))))
-        sweep(lambda r: ad.sum_all(ad.softplus(r)), lambda: (t(()),))
+        sweep(lambda r: sum_all(ad.softplus(r)), lambda: (t(()),))
+        ids = np.array([[0, 3, 3], [4, 1, 0]])
+        mix_emb = Tensor(rng.normal(size=(2, 3, 4)))
+        sweep(lambda tok, pos: sum_all(ad.mul(ad.embedding(tok, pos, ids), mix_emb)),
+              lambda: (t((5, 4)), t((4, 4))))
 
         # full combined loss on a sub-1k-parameter model, sampled coordinates
         cfg = EncoderConfig(vocab_size=11, d_model=4, n_heads=2, n_layers=1,
@@ -145,8 +149,9 @@ class TestCriterion2LossIdentity:
             if mode == 0:
                 scaling = ConstantScaling(float(rng.uniform(0.0, 100.0)))
             elif mode == 1:
-                scaling = alchemy_scale_init(float(rng.uniform(0.01, 5.0)),
-                                             float(rng.uniform(0.01, 5.0)))
+                scaling = alchemy_scale_update(AlchemyScale(),
+                                               float(rng.uniform(0.01, 5.0)),
+                                               float(rng.uniform(0.01, 5.0)))
                 for _ in range(int(rng.integers(0, 5))):
                     alchemy_scale_update(scaling, float(rng.uniform(0.01, 5)),
                                          float(rng.uniform(0.01, 5)))
@@ -201,7 +206,8 @@ class TestCriterion4ZeroRegularizerEquivalence:
         opt_r = make_optimizer(regularized, scaling, lr=1e-3)
 
         plain = init_alchemy_model(cfg, 3, 2, (FeatureSet.SYNTAX_KNN,))
-        opt_p = AdamW(plain.task_parameters(), lr=1e-3, weight_decay=0.01)
+        opt_p = AdamW(list(plain.encoder.values()) + [plain.head_w, plain.head_b],
+                      lr=1e-3, weight_decay=0.01)
 
         mismatches = 0
         for step in range(50):
@@ -229,10 +235,10 @@ class TestCriterion5AlchemyScale:
         for _ in range(50):
             l_cls0 = float(rng.uniform(0.01, 5.0))
             l_uriel0 = float(rng.uniform(0.01, 5.0))
-            state = alchemy_scale_init(l_cls0, l_uriel0)
+            state = alchemy_scale_update(AlchemyScale(), l_cls0, l_uriel0)
             worst_init = max(worst_init, abs(state.lambda_cls * l_cls0
                                              - state.lambda_uriel * l_uriel0))
-        state = alchemy_scale_init(1.7, 0.03)
+        state = alchemy_scale_update(AlchemyScale(), 1.7, 0.03)
         lam0 = (state.lambda_cls, state.lambda_uriel)
         drift = 0.0
         for _ in range(1000):

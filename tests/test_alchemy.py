@@ -3,10 +3,10 @@ import pytest
 
 from lingualchemy import autodiff as ad
 from lingualchemy.alchemy import (AlchemyScale, AlchemyTune, ConstantScaling,
-                                  alchemy_scale_init, alchemy_scale_update,
-                                  combine_losses, init_alchemy_model,
-                                  make_optimizer, project_to_uriel,
-                                  train_loop, train_step, uriel_loss)
+                                  alchemy_scale_update, combine_losses,
+                                  init_alchemy_model, make_optimizer,
+                                  project_to_uriel, train_loop, train_step,
+                                  uriel_loss)
 from lingualchemy.autodiff import Tensor
 from lingualchemy.encoder import EncoderConfig, TokenBatch
 from lingualchemy.errors import NumericError, UnknownLanguageError
@@ -146,8 +146,9 @@ class TestCombineLosses:
             if mode == 0:
                 scaling = ConstantScaling(float(rng.uniform(0, 100)))
             elif mode == 1:
-                scaling = alchemy_scale_init(float(rng.uniform(0.01, 5)),
-                                             float(rng.uniform(0.01, 5)))
+                scaling = alchemy_scale_update(AlchemyScale(),
+                                               float(rng.uniform(0.01, 5)),
+                                               float(rng.uniform(0.01, 5)))
             else:
                 scaling = AlchemyTune()
             bd = combined(l_cls, l_uriel, scaling)
@@ -163,31 +164,31 @@ class TestCombineLosses:
 
 class TestAlchemyScale:
     def test_init_balances_scaled_losses(self):
-        state = alchemy_scale_init(1.0, 0.1)
+        state = alchemy_scale_update(AlchemyScale(), 1.0, 0.1)
         assert (state.lambda_cls, state.lambda_uriel) == (0.55, 5.5)
         assert state.lambda_cls * 1.0 == pytest.approx(
             state.lambda_uriel * 0.1, abs=1e-9)
 
     def test_equal_losses_give_unit_lambdas(self):
-        state = alchemy_scale_init(0.7, 0.7)
+        state = alchemy_scale_update(AlchemyScale(), 0.7, 0.7)
         assert state.lambda_cls == 1.0 and state.lambda_uriel == 1.0
 
     def test_ten_to_one_ratio(self):
         # initial task loss 10x the auxiliary loss -> weight ratio 10
-        state = alchemy_scale_init(1.0, 0.1)
+        state = alchemy_scale_update(AlchemyScale(), 1.0, 0.1)
         assert state.lambda_uriel / state.lambda_cls == pytest.approx(10.0)
 
     def test_zero_loss_rejected(self):
         with pytest.raises(NumericError):
-            alchemy_scale_init(0.0, 0.5)
+            alchemy_scale_update(AlchemyScale(), 0.0, 0.5)
 
     def test_ema_hand_value(self):
-        state = alchemy_scale_init(1.0, 1.0)
+        state = alchemy_scale_update(AlchemyScale(), 1.0, 1.0)
         alchemy_scale_update(state, 0.5, 1.0)
         assert state.ema_cls == pytest.approx(0.95, abs=1e-15)
 
     def test_constant_losses_fixed_point(self):
-        state = alchemy_scale_init(2.0, 0.5)
+        state = alchemy_scale_update(AlchemyScale(), 2.0, 0.5)
         lam0 = (state.lambda_cls, state.lambda_uriel)
         for _ in range(1000):
             alchemy_scale_update(state, 2.0, 0.5)
@@ -195,7 +196,7 @@ class TestAlchemyScale:
         assert state.lambda_uriel == pytest.approx(lam0[1], rel=1e-9)
 
     def test_balance_identity_at_recompute(self):
-        state = alchemy_scale_init(1.0, 0.25, update_period=10)
+        state = alchemy_scale_update(AlchemyScale(update_period=10), 1.0, 0.25)
         rng = np.random.default_rng(3)
         for step in range(1, 101):
             alchemy_scale_update(state, float(rng.uniform(0.1, 2)),
@@ -249,7 +250,8 @@ class TestAlchemyTune:
 
     def test_drift_penalty_only_for_tune(self):
         assert combined(0.3, 0.2, ConstantScaling(10.0)).mini_loss is None
-        assert combined(0.3, 0.2, alchemy_scale_init(0.3, 0.2)).mini_loss is None
+        scale = alchemy_scale_update(AlchemyScale(), 0.3, 0.2)
+        assert combined(0.3, 0.2, scale).mini_loss is None
         assert combined(0.3, 0.2, AlchemyTune()).mini_loss is not None
 
 
@@ -387,7 +389,8 @@ class TestZeroRegularizerEquivalence:
         from lingualchemy.encoder import encode_cls
         from lingualchemy.autodiff import AdamW
 
-        opt_p = AdamW(plain.task_parameters(), lr=1e-3, weight_decay=0.01)
+        opt_p = AdamW(list(plain.encoder.values()) + [plain.head_w, plain.head_b],
+                      lr=1e-3, weight_decay=0.01)
 
         for step in range(50):
             train_step(regularized, batch, small_store, SETS, scaling, opt_r)

@@ -211,7 +211,7 @@ class TestCollectSentenceReps:
         data = collect_sentence_reps(model, [batch], store,
                                      [FeatureSet.SYNTAX_KNN])
         hidden = encoder_forward(model.cfg, model.encoder, batch)
-        direct = pool_mean_masked(hidden, batch.attention_mask).data
+        direct = pool_mean_masked(hidden.data, batch.attention_mask)
         assert np.abs(data.reps - direct).max() < 1e-6
 
 

@@ -1,3 +1,7 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from lingualchemy import autodiff as ad
 from lingualchemy.autodiff import AdamW, Tensor
 from lingualchemy.errors import DataError
 
-from gradcheck import check_grad, finite_difference_grad, relative_error
+from gradcheck import check_grad, sum_all
 
 
 def scalarize(out: Tensor) -> Tensor:
@@ -13,7 +17,7 @@ def scalarize(out: Tensor) -> Tensor:
     if out.data.shape == ():
         return out
     w = np.linspace(0.3, 1.7, out.data.size).reshape(out.data.shape)
-    return ad.sum_all(ad.mul(out, Tensor(w)))
+    return sum_all(ad.mul(out, Tensor(w)))
 
 
 def run_gradcheck(build, tensors, tol=1e-6):
@@ -77,7 +81,7 @@ class TestElementwise:
         got = ad.mul(Tensor([2.0, 3.0]), Tensor(2.0))
         assert got.data.tolist() == [4.0, 6.0]
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("op", [ad.add, ad.mul])
     def test_binary_gradients(self, op, rng):
         a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
@@ -90,11 +94,6 @@ class TestElementwise:
     def test_softplus_gradient(self, rng):
         x = Tensor(rng.normal(size=(5,)), requires_grad=True)
         run_gradcheck(lambda: ad.softplus(x), [x])
-
-    def test_add_bias_gradient(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        run_gradcheck(lambda: ad.add_bias(x, b), [x, b])
 
 
 class TestLayerNorm:
@@ -184,32 +183,32 @@ class TestMse:
 
 
 class TestStructuralOps:
-    def test_slice_rows_gradient(self, rng):
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        run_gradcheck(lambda: ad.slice_rows(x, 2), [x])
-
     def test_embedding_gather_and_gradient(self, rng):
-        table = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+        tok = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+        pos = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         ids = np.array([[0, 3, 3], [6, 1, 0]])
-        out = ad.embedding(table, ids)
-        np.testing.assert_array_equal(out.data, table.data[ids])
-        run_gradcheck(lambda: ad.embedding(table, ids), [table])
+        out = ad.embedding(tok, pos, ids)
+        for b in range(2):
+            for t in range(3):
+                np.testing.assert_array_equal(out.data[b, t],
+                                              tok.data[ids[b, t]] + pos.data[t])
+        run_gradcheck(lambda: ad.embedding(tok, pos, ids), [tok, pos])
+        # position rows past the sequence length get no gradient
+        ad.backward(scalarize(ad.embedding(tok, pos, ids)))
+        assert (pos.grad[3:] == 0.0).all() and (pos.grad[:3] != 0.0).all()
 
     def test_embedding_id_out_of_range(self):
         with pytest.raises(ValueError, match="id out of range"):
-            ad.embedding(Tensor(np.ones((3, 2))), np.array([[4]]))
+            ad.embedding(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
+                         np.array([[4]]))
 
-    def test_mean_pool_masked_hand_case(self):
-        x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
-        mask = np.array([[True, True, False]])
-        got = ad.mean_pool_masked(x, mask)
-        assert got.data.tolist() == [[2.0, 3.0]]
+    def test_embedding_sequence_longer_than_positions(self):
+        with pytest.raises(ValueError, match="exceeds max_seq_len 4"):
+            ad.embedding(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
+                         np.zeros((1, 5), dtype=np.int64))
 
     def test_pooling_gradients(self, rng):
         x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        mask = np.array([[True, True, False, True],
-                         [True, False, False, False]])
-        run_gradcheck(lambda: ad.mean_pool_masked(x, mask), [x])
         run_gradcheck(lambda: ad.take_first_position(x), [x])
         run_gradcheck(lambda: ad.slice_positions(x, 2), [x])
 
@@ -389,8 +388,8 @@ class TestGradProperty:
             b = Tensor(r.normal(size=(3, 4)), requires_grad=True)
             m = Tensor(r.normal(size=(4, 2)), requires_grad=True)
             c = Tensor(r.normal(size=2), requires_grad=True)
-            run_gradcheck(lambda: ad.mul(ad.add(a, b), ad.sub(a, b)), [a, b],
-                          tol=1e-4)
+            run_gradcheck(lambda: ad.mul(ad.add(a, b), ad.add(a, ad.scale(b, -1.0))),
+                          [a, b], tol=1e-4)
             run_gradcheck(lambda: ad.linear(ad.gelu(a), m, c), [a, m, c], tol=1e-4)
 
 
@@ -442,3 +441,24 @@ class TestCheckpoint:
             path.write_bytes(blob[:cut])
             with pytest.raises(DataError, match="truncated"):
                 ad.load_checkpoint(path)
+
+
+class TestOpSet:
+    def test_every_public_function_has_a_caller_in_src(self):
+        """The engine holds only what the package uses; test helpers such
+        as ``sum_all`` live with the tests."""
+        used = set()
+        for path in Path(ad.__file__).parent.glob("*.py"):
+            if path.name == "autodiff.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                    used.update(alias.name for alias in node.names)
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id == "ad"):
+                    used.add(node.attr)
+        public = [name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+                  if not name.startswith("_") and fn.__module__ == ad.__name__]
+        assert "embedding" in public
+        assert [name for name in public if name not in used] == []

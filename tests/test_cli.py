@@ -54,6 +54,21 @@ class TestExitCodes:
         bad.write_text("bogus_key = 1\n", encoding="utf-8")
         assert run_cli("--config", str(bad), "train") == 2
 
+    def test_bad_list_value_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("seeds = 1,x\n", encoding="utf-8")
+        assert run_cli("--config", str(bad), "train") == 2
+        assert "'seeds' (expected ints)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["d_model = 30", "d_model = 0",
+                                      "n_heads = 0", "n_heads = -4",
+                                      "max_seq_len = 1"])
+    def test_bad_model_shape_is_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n", encoding="utf-8")
+        assert run_cli("--config", str(bad), "train") == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_data_error_is_3(self, tmp_path, cfg_file):
         missing = tmp_path / "nope.cfg"
         assert run_cli("--config", str(missing), "train") == 3
@@ -269,6 +284,28 @@ class TestFamilyGen:
         assert langs == {"syn04", "syn05"}
         groups = {r[1] for r in rows[1:]}
         assert groups == {"1", "2"}
+
+    def test_language_names_keep_their_separators(self, tmp_path, monkeypatch):
+        import lingualchemy.cli as cli
+        from lingualchemy.harness import MetricsReport
+
+        def two_groups(cfg, seed=None):
+            rows = (("a:b", "unseen", 0.5), ("c,d", "unseen", 0.25),
+                    ("e", "seen", 1.0))
+            return [MetricsReport("accuracy", rows, {}, [], "hash", seed)] * 2
+
+        monkeypatch.setattr(cli, "family_split_experiment", two_groups)
+        cfg = tmp_path / "fam.cfg"
+        cfg.write_text("seeds = 3,4\n", encoding="utf-8")
+        out = tmp_path / "fam"
+        assert run_cli("--config", str(cfg), "--out", str(out),
+                       "family-gen") == 0
+        with open(out / "family_trajectory.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["lang", "group", "seed", "value"]] + [
+            [lang, group, seed, value]
+            for seed in ("3", "4") for group in ("1", "2")
+            for lang, value in (("a:b", "0.5"), ("c,d", "0.25"))]
 
 
 class TestHelp:

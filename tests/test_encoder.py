@@ -6,7 +6,7 @@ from lingualchemy.encoder import (EncoderConfig, TokenBatch, encode_cls,
                                   encoder_forward, init_encoder_params,
                                   pool_cls, pool_mean_masked)
 
-from gradcheck import finite_difference_grad, relative_error
+from gradcheck import finite_difference_grad, sum_all
 
 CFG = EncoderConfig(vocab_size=19, d_model=16, n_heads=2, n_layers=2,
                     max_seq_len=8, seed=11)
@@ -29,6 +29,11 @@ class TestConfig:
     def test_min_seq_len(self):
         with pytest.raises(ValueError, match="max_seq_len"):
             EncoderConfig(vocab_size=10, max_seq_len=1)
+
+    @pytest.mark.parametrize("d_model, n_heads", [(16, 0), (16, -4), (0, 4)])
+    def test_nonpositive_width_or_heads(self, d_model, n_heads):
+        with pytest.raises(ValueError, match="positive"):
+            EncoderConfig(vocab_size=10, d_model=d_model, n_heads=n_heads)
 
 
 class TestInit:
@@ -103,9 +108,10 @@ class TestEncodeCls:
     @staticmethod
     def value_and_grads(build, params, weights):
         out = build()
-        ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(weights))))
+        ad.backward(sum_all(ad.mul(out, ad.Tensor(weights))))
         grads = {name: p.grad.copy() for name, p in params.items()}
-        ad.zero_grads(params.values())
+        for p in params.values():
+            p.zero_grad()
         return out.data, grads
 
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -159,14 +165,14 @@ class TestPooling:
         assert abs(flat_positions[5]) < 1e-9 and abs(flat_positions[9]) < 1e-9
 
     def test_mean_masked_hand_case(self):
-        hidden = ad.Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
+        hidden = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
         mask = np.array([[True, True, False]])
-        assert pool_mean_masked(hidden, mask).data.tolist() == [[2.0, 3.0]]
+        assert pool_mean_masked(hidden, mask).tolist() == [[2.0, 3.0]]
 
     def test_mean_masked_all_true_constant(self):
-        hidden = ad.Tensor(np.full((2, 3, 4), 7.0))
+        hidden = np.full((2, 3, 4), 7.0)
         mask = np.ones((2, 3), dtype=bool)
-        np.testing.assert_allclose(pool_mean_masked(hidden, mask).data, 7.0)
+        np.testing.assert_allclose(pool_mean_masked(hidden, mask), 7.0)
 
     def test_mean_masked_ignores_masked_values(self):
         rng = np.random.default_rng(0)
@@ -174,11 +180,11 @@ class TestPooling:
         mask = np.array([[True, False, True]])
         toggled = base.copy()
         toggled[0, 1] = 123.0
-        a = pool_mean_masked(ad.Tensor(base), mask).data
-        b = pool_mean_masked(ad.Tensor(toggled), mask).data
+        a = pool_mean_masked(base, mask)
+        b = pool_mean_masked(toggled, mask)
         np.testing.assert_array_equal(a, b)
 
     def test_all_false_row_rejected(self):
-        hidden = ad.Tensor(np.zeros((1, 2, 2)))
+        hidden = np.zeros((1, 2, 2))
         with pytest.raises(ValueError, match="no unmasked"):
             pool_mean_masked(hidden, np.array([[False, False]]))

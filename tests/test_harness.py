@@ -337,31 +337,27 @@ class TestSweepShape:
 
 
 class TestGraphSize:
-    def test_default_training_step_has_at_most_40_op_nodes(self):
-        # one node per attention and per affine map, and a last layer that
-        # runs for the CLS row only: 38 nodes; separate matmul and bias
-        # nodes made 50, and a per-head attention loop 114
+    def test_default_training_step_has_at_most_36_op_nodes(self):
+        # one node per attention and per affine map, one embedding node that
+        # adds the positions, and a last layer that runs for the CLS row
+        # only: 36 nodes; separate matmul and bias nodes made 50, and a
+        # per-head attention loop 114
         from lingualchemy import autodiff as ad
         from lingualchemy.alchemy import (ConstantScaling, combine_losses,
-                                          forward_losses, init_alchemy_model)
-        from lingualchemy.encoder import EncoderConfig
-        from lingualchemy.harness import make_token_batch
+                                          forward_losses)
+        from lingualchemy.harness import build_model, make_token_batch
 
         cfg = ExperimentConfig()
         bench = prepare_benchmark(cfg)
         examples = bench.corpus.for_langs(bench.seen).subset("train").examples
-        enc = EncoderConfig(vocab_size=len(bench.corpus.vocab),
-                            d_model=cfg.d_model, n_heads=cfg.n_heads,
-                            n_layers=cfg.n_layers, max_seq_len=cfg.max_seq_len)
-        model = init_alchemy_model(enc, n_outputs=cfg.n_classes,
-                                   d_uriel=bench.store.vector_dim(cfg.feature_sets),
-                                   feature_sets=cfg.feature_sets)
+        model = build_model(cfg, len(bench.corpus.vocab),
+                            bench.store.vector_dim(cfg.feature_sets), seed=0)
         batch = make_token_batch(examples[:cfg.batch_size], bench.corpus.vocab,
                                  cfg.max_seq_len, cfg.task)
         l_cls, l_uriel = forward_losses(model, batch, bench.store, cfg.feature_sets)
         total, _ = combine_losses(l_cls, l_uriel, ConstantScaling(cfg.factor))
         op_nodes = [n for n in ad._topo_order(total) if n._parents]
-        assert len(op_nodes) <= 40
+        assert len(op_nodes) <= 36
 
 
 class TestExportReport:
