@@ -19,11 +19,12 @@ from . import alignment as al
 from .alchemy import AlchemyModel
 from .autodiff import load_checkpoint
 from .errors import ConfigError, DataError, NumericError
-from .harness import (Benchmark, ExperimentConfig, _evaluate, ablation_sweep,
-                      build_model, export_sweep, family_split_experiment,
-                      make_token_batch, parse_config, prepare_benchmark,
-                      run_experiment, scaling_sweep, svg_line_chart)
-from .synthlang import Corpus, Vocab, write_corpus_tsv
+from .harness import (Benchmark, ExperimentConfig, ablation_sweep, build_model,
+                      config_items, eval_batches, evaluate_languages,
+                      export_sweep, family_split_experiment, parse_config,
+                      prepare_benchmark, run_experiment, scaling_sweep,
+                      svg_line_chart)
+from .synthlang import Vocab, write_corpus_tsv
 from .uriel import write_uriel_tsv
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
@@ -81,12 +82,13 @@ def _rebuild_model(cfg: ExperimentConfig, vocab: Vocab, d_uriel: int,
     return model
 
 
-def _load_run(args) -> tuple[ExperimentConfig, Benchmark, Corpus, AlchemyModel]:
+def _load_run(args) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
     """Rebuild a trained run from ``--run-dir``.
 
     The config is the run's own ``config.resolved``; only ``out_dir`` comes
-    from this invocation. The vocab and weights come from ``vocab.tsv`` and
-    ``checkpoint.lalc`` in the same directory.
+    from this invocation. The vocab (which the returned benchmark's corpus
+    uses) and weights come from ``vocab.tsv`` and ``checkpoint.lalc`` in the
+    same directory.
     """
     run_dir = Path(args.run_dir)
     cfg = replace(parse_config(run_dir / "config.resolved"),
@@ -95,26 +97,19 @@ def _load_run(args) -> tuple[ExperimentConfig, Benchmark, Corpus, AlchemyModel]:
     vocab = Vocab.load(run_dir / "vocab.tsv")
     model = _rebuild_model(cfg, vocab, bench.store.vector_dim(cfg.feature_sets),
                            run_dir / "checkpoint.lalc")
-    return cfg, bench, bench.corpus.with_vocab(vocab), model
+    return cfg, replace(bench, corpus=bench.corpus.with_vocab(vocab)), model
 
 
 def cmd_eval(args) -> int:
-    cfg, bench, corpus, model = _load_run(args)
-    for split_tag, langs in (("seen", bench.seen), ("unseen", bench.unseen)):
-        for lang in langs:
-            subset = corpus.for_langs([lang]).subset("test")
-            if subset.examples:
-                value = _evaluate(model, subset, cfg)
-                print(f"{lang}\t{split_tag}\t{value:.4f}")
+    cfg, bench, model = _load_run(args)
+    for lang, split_tag, value in evaluate_languages(model, bench, cfg):
+        print(f"{lang}\t{split_tag}\t{value:.4f}")
     return 0
 
 
 def cmd_align(args) -> int:
-    cfg, bench, corpus, model = _load_run(args)
-    train = corpus.subset("train")
-    batches = [make_token_batch(train.examples[i:i + 64], corpus.vocab,
-                                cfg.max_seq_len, cfg.task)
-               for i in range(0, len(train.examples), 64)]
+    cfg, bench, model = _load_run(args)
+    batches = eval_batches(bench.corpus.subset("train"), cfg)
     data = al.collect_sentence_reps(model, batches, bench.store, cfg.feature_sets)
     closed = al.fit_alignment(data, al.ClosedForm())
     descended = al.fit_alignment(data, al.GradientDescent())
@@ -182,10 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Typology-regularized multilingual classification "
                     "experiments on synthetic corpora.",
         epilog="Config keys and their defaults: "
-               + "; ".join(f"{k}={getattr(ExperimentConfig(), k)!r}"
-                           for k in ("task", "scaling", "factor", "epochs",
-                                     "batch_size", "lr", "seeds", "n_langs",
-                                     "n_families", "n_per_lang", "n_classes")))
+               + "; ".join(f"{key}={text}"
+                           for key, text in config_items(ExperimentConfig())))
     parser.add_argument("--config", help="experiment config file")
     parser.add_argument("--seed", type=int, help="override to a single seed")
     parser.add_argument("--out", help="override output directory")

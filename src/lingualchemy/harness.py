@@ -14,7 +14,7 @@ import os
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from .uriel import ALL_FEATURE_SETS, FeatureSet, UrielStore, load_uriel_tsv
 SCALING_MODES = ("constant", "alchemy_scale", "alchemy_tune")
 TASKS = ("classification", "relatedness")
 SWEEP_FACTORS = (0.0, 10.0, 25.0, 50.0, 100.0)
+EVAL_BATCH = 64   # examples per forward-only batch in evaluation and alignment
 
 _SET_LABELS = {FeatureSet.SYNTAX_KNN: "syntax_knn",
                FeatureSet.SYNTAX_AVERAGE: "syntax_avg",
@@ -52,7 +53,11 @@ class ExperimentConfig:
     """Defaults define the reference synthetic benchmark: 12 languages in 4
     families (8 seen / 4 unseen), width-32 encoder, constant 10x weighting.
     Calibrated so the unseen-language effect reproduces across seeds within
-    a couple of minutes of training."""
+    a couple of minutes of training.
+
+    The fields are the config file's keys, in the order it writes them; each
+    field's annotation picks how its value is parsed and written
+    (``_KINDS``). Every instance is validated, however it was made."""
 
     task: str = "classification"
     feature_sets: tuple[FeatureSet, ...] = ALL_FEATURE_SETS
@@ -96,67 +101,103 @@ class ExperimentConfig:
                 raise ConfigError(f"family group {i + 1} contains unseen "
                                   f"languages: {', '.join(bad)}")
             previous = set(group)
+        if self.task not in TASKS:
+            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.scaling not in SCALING_MODES:
+            raise ConfigError(f"scaling must be one of {SCALING_MODES}, "
+                              f"got {self.scaling!r}")
+        if self.factor < 0:
+            raise ConfigError("factor must be >= 0")
+        if not self.feature_sets:
+            raise ConfigError("feature_sets must be nonempty")
+        if len(set(self.feature_sets)) != len(self.feature_sets):
+            raise ConfigError("feature_sets contains duplicates")
+        if not self.seeds:
+            raise ConfigError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be >= 0")
+        if self.gen_seed < 0:
+            raise ConfigError("gen_seed must be >= 0")
+        if not self.lr > 0:  # also rejects nan
+            raise ConfigError("lr must be > 0")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be >= 0")
+        if self.n_layers < 1:
+            raise ConfigError("n_layers must be >= 1")
+        for key in ("epochs", "batch_size", "n_langs", "n_families",
+                    "n_per_lang", "n_classes"):
+            if getattr(self, key) < (0 if key == "epochs" else 1):
+                raise ConfigError(f"{key} must be positive")
+        try:
+            _encoder_config(self, vocab_size=1, seed=0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
-_KEY_TYPES = {
-    "task": str, "feature_sets": "sets", "scaling": str, "factor": float,
-    "epochs": int, "batch_size": int, "lr": float, "weight_decay": float,
-    "seeds": "ints", "d_model": int, "n_layers": int, "n_heads": int,
-    "max_seq_len": int, "seen": "langs", "unseen": "langs",
-    "family_groups": "groups", "categories": "pairs",
-    "n_langs": int, "n_families": int, "n_per_lang": int, "n_classes": int,
-    "gen_seed": int, "store_dir": str, "corpus": str, "out_dir": str,
-    "threads": int,
+def _items(raw: str) -> list[str]:
+    return [v.strip() for v in raw.split(",") if v.strip()]
+
+
+def _parse_sets(raw: str) -> tuple[FeatureSet, ...]:
+    out = []
+    for name in _items(raw):
+        try:
+            out.append(FeatureSet(name))
+        except ValueError:
+            raise ConfigError(
+                f"unknown feature set {name!r} "
+                f"(choose from {', '.join(f.value for f in FeatureSet)})") from None
+    return tuple(out)
+
+
+def _parse_groups(raw: str) -> tuple[tuple[str, ...], ...]:
+    groups = (tuple(_items(chunk)) for chunk in raw.split("|"))
+    return tuple(group for group in groups if group)
+
+
+def _parse_pairs(raw: str) -> tuple[tuple[str, str], ...]:
+    pairs = []
+    for chunk in _items(raw):
+        lang, _, tag = chunk.partition(":")
+        if not tag:
+            raise ConfigError(f"category {chunk!r} must look like lang:tag")
+        pairs.append((lang.strip(), tag.strip()))
+    return tuple(pairs)
+
+
+# Each annotation that ExperimentConfig uses, as (the name a bad value's
+# error says was expected, parser of the file text, formatter back to it).
+_KINDS = {
+    "str": ("str", str, str),
+    "int": ("int", int, str),
+    "float": ("float", float, repr),
+    "tuple[int, ...]": ("ints", lambda raw: tuple(int(v) for v in _items(raw)),
+                        lambda v: ",".join(str(s) for s in v)),
+    "tuple[str, ...]": ("langs", lambda raw: tuple(_items(raw)), ",".join),
+    "tuple[FeatureSet, ...]": ("sets", _parse_sets,
+                               lambda v: ",".join(fs.value for fs in v)),
+    "tuple[tuple[str, ...], ...]": ("groups", _parse_groups,
+                                    lambda v: " | ".join(",".join(g) for g in v)),
+    "tuple[tuple[str, str], ...]": ("pairs", _parse_pairs,
+                                    lambda v: ",".join(f"{l}:{t}" for l, t in v)),
 }
+_FIELD_KINDS = {f.name: _KINDS[f.type] for f in fields(ExperimentConfig)}
+
+# The section header that config files write before the key opening it.
+_SECTIONS = {"task": "task", "scaling": "scaling", "epochs": "training",
+             "d_model": "model", "seen": "languages", "n_langs": "generate",
+             "store_dir": "paths"}
 
 
 def _parse_value(key: str, raw: str, line_no: int):
-    kind = _KEY_TYPES[key]
+    expected, parse, _ = _FIELD_KINDS[key]
     try:
-        if kind is str:
-            return raw
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "ints":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if kind == "langs":
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
-        if kind == "sets":
-            out = []
-            for name in (v.strip() for v in raw.split(",") if v.strip()):
-                try:
-                    out.append(FeatureSet(name))
-                except ValueError:
-                    raise ConfigError(
-                        f"line {line_no}: unknown feature set {name!r} "
-                        f"(choose from {', '.join(f.value for f in FeatureSet)})"
-                    ) from None
-            return tuple(out)
-        if kind == "groups":
-            groups = []
-            for chunk in raw.split("|"):
-                langs = tuple(v.strip() for v in chunk.split(",") if v.strip())
-                if langs:
-                    groups.append(langs)
-            return tuple(groups)
-        if kind == "pairs":
-            pairs = []
-            for chunk in (v.strip() for v in raw.split(",") if v.strip()):
-                lang, _, tag = chunk.partition(":")
-                if not tag:
-                    raise ConfigError(f"line {line_no}: category {chunk!r} "
-                                      "must look like lang:tag")
-                pairs.append((lang.strip(), tag.strip()))
-            return tuple(pairs)
-    except ConfigError:
-        raise
+        return parse(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"line {line_no}: {exc}") from None
     except ValueError:
         raise ConfigError(f"line {line_no}: bad value {raw!r} for key "
-                          f"{key!r} (expected {getattr(kind, '__name__', kind)})"
-                          ) from None
-    raise AssertionError(kind)
+                          f"{key!r} (expected {expected})") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -177,81 +218,29 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _KEY_TYPES:
+        if key not in _FIELD_KINDS:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
         if key in seen_keys:
             raise ConfigError(f"{path}:{line_no}: duplicate key {key!r} "
                               f"(first set on line {seen_keys[key]})")
         seen_keys[key] = line_no
         values[key] = _parse_value(key, value.strip(), line_no)
-    cfg = ExperimentConfig(**values)
-    _validate_config(cfg)
-    return cfg
+    return ExperimentConfig(**values)
 
 
-def _validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {cfg.task!r}")
-    if cfg.scaling not in SCALING_MODES:
-        raise ConfigError(f"scaling must be one of {SCALING_MODES}, got {cfg.scaling!r}")
-    if cfg.factor < 0:
-        raise ConfigError("factor must be >= 0")
-    if not cfg.feature_sets:
-        raise ConfigError("feature_sets must be nonempty")
-    if len(set(cfg.feature_sets)) != len(cfg.feature_sets):
-        raise ConfigError("feature_sets contains duplicates")
-    if not cfg.seeds:
-        raise ConfigError("seeds must be nonempty")
-    for key in ("epochs", "batch_size", "n_langs", "n_families",
-                "n_per_lang", "n_classes"):
-        if getattr(cfg, key) < (0 if key == "epochs" else 1):
-            raise ConfigError(f"{key} must be positive")
-    try:
-        _encoder_config(cfg, vocab_size=1, seed=0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
+    """Every key with its value as a config file writes it, in file order."""
+    return [(key, fmt(getattr(cfg, key)))
+            for key, (_, _, fmt) in _FIELD_KINDS.items()]
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; reparsing it reproduces the config exactly."""
-    def langs(v):
-        return ",".join(v)
-
-    lines = [
-        "[task]",
-        f"task = {cfg.task}",
-        f"feature_sets = {','.join(fs.value for fs in cfg.feature_sets)}",
-        "[scaling]",
-        f"scaling = {cfg.scaling}",
-        f"factor = {cfg.factor!r}",
-        "[training]",
-        f"epochs = {cfg.epochs}",
-        f"batch_size = {cfg.batch_size}",
-        f"lr = {cfg.lr!r}",
-        f"weight_decay = {cfg.weight_decay!r}",
-        f"seeds = {','.join(str(s) for s in cfg.seeds)}",
-        "[model]",
-        f"d_model = {cfg.d_model}",
-        f"n_layers = {cfg.n_layers}",
-        f"n_heads = {cfg.n_heads}",
-        f"max_seq_len = {cfg.max_seq_len}",
-        "[languages]",
-        f"seen = {langs(cfg.seen)}",
-        f"unseen = {langs(cfg.unseen)}",
-        f"family_groups = {' | '.join(langs(g) for g in cfg.family_groups)}",
-        f"categories = {','.join(f'{l}:{t}' for l, t in cfg.categories)}",
-        "[generate]",
-        f"n_langs = {cfg.n_langs}",
-        f"n_families = {cfg.n_families}",
-        f"n_per_lang = {cfg.n_per_lang}",
-        f"n_classes = {cfg.n_classes}",
-        f"gen_seed = {cfg.gen_seed}",
-        "[paths]",
-        f"store_dir = {cfg.store_dir}",
-        f"corpus = {cfg.corpus}",
-        f"out_dir = {cfg.out_dir}",
-        f"threads = {cfg.threads}",
-    ]
+    lines = []
+    for key, text in config_items(cfg):
+        if key in _SECTIONS:
+            lines.append(f"[{_SECTIONS[key]}]")
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -360,7 +349,7 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
     if cfg.corpus:
         vocab = Vocab.build(e.tokens for e in examples
                             if e.split == "train" and e.lang in set(seen))
-        corpus = Corpus(examples=examples, vocab=vocab, task=cfg.task)
+        corpus = Corpus(examples=examples, vocab=vocab)
     else:
         corpus = generate_corpus(specs, cfg.n_per_lang, cfg.n_classes,
                                  cfg.gen_seed, task=cfg.task, vocab_langs=seen)
@@ -456,14 +445,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
         scaling, epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
         seed=seed, weight_decay=cfg.weight_decay)
 
-    rows = []
-    for split_tag, lang_list in (("seen", bench.seen), ("unseen", bench.unseen)):
-        for lang in lang_list:
-            subset = bench.corpus.for_langs([lang]).subset("test")
-            if not subset.examples:
-                continue
-            rows.append((lang, split_tag,
-                         _evaluate(model, subset, cfg)))
+    rows = evaluate_languages(model, bench, cfg)
     aggregates = _aggregate(rows, dict(cfg.categories))
     report = MetricsReport(
         metric_name="accuracy" if cfg.task == "classification" else "pearson",
@@ -484,19 +466,35 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     return report
 
 
-def _evaluate(model, corpus: Corpus, cfg: ExperimentConfig,
-              chunk: int = 64) -> float:
+def evaluate_languages(model, bench: Benchmark,
+                       cfg: ExperimentConfig) -> list[tuple[str, str, float]]:
+    """``(lang, split_tag, metric)`` on the test split of each seen, then
+    unseen, language of ``bench`` that has test examples."""
+    rows = []
+    for split_tag, langs in (("seen", bench.seen), ("unseen", bench.unseen)):
+        for lang in langs:
+            subset = bench.corpus.for_langs([lang]).subset("test")
+            if subset.examples:
+                rows.append((lang, split_tag, _evaluate(model, subset, cfg)))
+    return rows
+
+
+def eval_batches(corpus: Corpus, cfg: ExperimentConfig) -> list[TokenBatch]:
+    """``corpus`` in order, as forward-only batches of ``EVAL_BATCH``."""
     examples = corpus.examples
+    return [make_token_batch(examples[i:i + EVAL_BATCH], corpus.vocab,
+                             cfg.max_seq_len, cfg.task)
+            for i in range(0, len(examples), EVAL_BATCH)]
+
+
+def _evaluate(model, corpus: Corpus, cfg: ExperimentConfig) -> float:
     preds: list = []
-    gold: list = []
-    for start in range(0, len(examples), chunk):
-        part = examples[start:start + chunk]
-        batch = make_token_batch(part, corpus.vocab, cfg.max_seq_len, cfg.task)
+    for batch in eval_batches(corpus, cfg):
         if cfg.task == "classification":
             preds.extend(predict_classes(model, batch).tolist())
         else:
             preds.extend(predict_logits(model, batch)[:, 0].tolist())
-        gold.extend(e.label for e in part)
+    gold = [e.label for e in corpus.examples]
     if cfg.task == "classification":
         return accuracy(preds, gold)
     return pearson(preds, gold)

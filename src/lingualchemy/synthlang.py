@@ -138,26 +138,23 @@ class Example:
 class Corpus:
     examples: list[Example]
     vocab: Vocab
-    split: str = "all"
-    task: str = "classification"
 
     def subset(self, split: str) -> "Corpus":
         if split not in SPLITS:
             raise ValueError(f"unknown split {split!r}")
         kept = [e for e in self.examples if e.split == split]
-        return Corpus(examples=kept, vocab=self.vocab, split=split, task=self.task)
+        return Corpus(examples=kept, vocab=self.vocab)
 
     def for_langs(self, langs) -> "Corpus":
         keep = set(langs)
         kept = [e for e in self.examples if e.lang in keep]
-        return Corpus(examples=kept, vocab=self.vocab, split=self.split, task=self.task)
+        return Corpus(examples=kept, vocab=self.vocab)
 
     def languages(self) -> list[str]:
         return sorted({e.lang for e in self.examples})
 
     def with_vocab(self, vocab: Vocab) -> "Corpus":
-        return Corpus(examples=self.examples, vocab=vocab,
-                      split=self.split, task=self.task)
+        return Corpus(examples=self.examples, vocab=vocab)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -420,7 +417,7 @@ def generate_corpus(specs, n_per_lang: int, n_classes: int, seed: int,
     vocab_set = set(vocab_langs) if vocab_langs is not None else {s.lang for s in specs}
     vocab = Vocab.build(e.tokens for e in examples
                         if e.split == "train" and e.lang in vocab_set)
-    return Corpus(examples=examples, vocab=vocab, task=task)
+    return Corpus(examples=examples, vocab=vocab)
 
 
 # ---------------------------------------------------------------------------

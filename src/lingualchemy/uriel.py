@@ -11,7 +11,7 @@ keep fixed-width vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -112,13 +112,11 @@ class UrielStore:
     """Immutable per-language feature tables, one per feature set.
 
     ``tables[fs]`` maps language code to an (values, mask) pair whose values
-    are already normalized. ``geo_ranges`` records the per-dimension
-    (min, max) that was used for geo scaling, for auditability.
+    are already normalized.
     """
 
     tables: dict[FeatureSet, dict[str, tuple[np.ndarray, np.ndarray]]]
     dims: dict[FeatureSet, int]
-    geo_ranges: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     @classmethod
     def from_raw_tables(
@@ -135,13 +133,12 @@ class UrielStore:
 
         tables: dict[FeatureSet, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
         dims: dict[FeatureSet, int] = {}
-        geo_ranges: tuple[tuple[float, float], ...] = ()
         for fs, (dim, rows) in raw.items():
             dims[fs] = dim
             mat = np.stack([rows[lang][0] for lang in common])
             masks = np.stack([rows[lang][1] for lang in common])
             if fs.is_geo:
-                mat, geo_ranges = _normalize_geo(mat, masks)
+                mat = _normalize_geo(mat, masks)
             else:
                 observed = mat[masks]
                 if observed.size and (observed.min() < 0.0 or observed.max() > 1.0):
@@ -154,7 +151,7 @@ class UrielStore:
                 lang: (_freeze(mat[i].copy()), _freeze(masks[i].copy()))
                 for i, lang in enumerate(common)
             }
-        return cls(tables=tables, dims=dims, geo_ranges=geo_ranges)
+        return cls(tables=tables, dims=dims)
 
     # -- queries ---------------------------------------------------------
 
@@ -233,23 +230,20 @@ class UrielStore:
         return True
 
 
-def _normalize_geo(mat: np.ndarray, masks: np.ndarray):
+def _normalize_geo(mat: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Min-max scale each geo column to [0, 1] over its observed values."""
     out = mat.copy()
-    ranges = []
     for j in range(mat.shape[1]):
         col_mask = masks[:, j]
         if not col_mask.any():
-            ranges.append((0.0, 0.0))
             continue
         observed = mat[col_mask, j]
         lo, hi = float(observed.min()), float(observed.max())
-        ranges.append((lo, hi))
         if hi > lo:
             out[col_mask, j] = (observed - lo) / (hi - lo)
         else:
             out[col_mask, j] = 0.0
-    return out, tuple(ranges)
+    return out
 
 
 def load_uriel_tsv(paths: Mapping[FeatureSet, str | Path]) -> UrielStore:

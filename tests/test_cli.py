@@ -1,10 +1,12 @@
 import csv
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from lingualchemy.cli import main
+from lingualchemy.harness import ExperimentConfig
 
 FAST_CFG = """\
 [task]
@@ -69,6 +71,18 @@ class TestExitCodes:
         assert run_cli("--config", str(bad), "train") == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("line, argv", [
+        ("n_layers = -1", ()), ("n_layers = 0", ()), ("lr = -0.5", ()),
+        ("weight_decay = -3", ()), ("seeds = -1", ()), ("gen_seed = -1", ()),
+        ("", ("--seed", "-1"))],
+        ids=["n_layers-1", "n_layers0", "lr", "weight_decay", "seeds",
+             "gen_seed", "seed_flag"])
+    def test_out_of_range_value_is_2(self, tmp_path, capsys, line, argv):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n", encoding="utf-8")
+        assert run_cli("--config", str(bad), *argv, "train") == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_data_error_is_3(self, tmp_path, cfg_file):
         missing = tmp_path / "nope.cfg"
         assert run_cli("--config", str(missing), "train") == 3
@@ -106,12 +120,14 @@ class TestTrainEvalAlign:
         for name in ("report.csv", "trace.csv", "config.resolved",
                      "plot.svg", "checkpoint.lalc", "vocab.tsv"):
             assert (out / name).exists(), name
-        capsys.readouterr()
+        trained = [line for line in capsys.readouterr().out.splitlines()
+                   if "\t" in line]
 
         assert run_cli("--config", str(cfg_file), "--out", str(out),
                        "eval", "--run-dir", str(out)) == 0
         printed = capsys.readouterr().out
         assert "syn00" in printed
+        assert printed.splitlines() == trained  # the same per-language rows
 
         align_out = tmp_path / "align"
         assert run_cli("--config", str(cfg_file), "--out", str(align_out),
@@ -316,3 +332,7 @@ class TestHelp:
         text = capsys.readouterr().out
         assert "factor=10.0" in text
         assert "gen" in text and "sweep-scale" in text
+        words = text.split()
+        for f in fields(ExperimentConfig):
+            assert any(w.startswith(f"{f.name}=") for w in words), f.name
+        assert "seeds=1,2,3,4,5;" in words

@@ -1,6 +1,6 @@
 import csv
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -91,12 +91,30 @@ class TestConfig:
             parse_config(path)
 
     def test_round_trip(self, tmp_path):
-        cfg = fast_cfg(seen=("syn00", "syn01"), unseen=("syn02",),
-                       family_groups=(("syn00",), ("syn00", "syn01")),
-                       categories=(("syn02", "low"),))
+        # every key off its default, so every kind of value is written and read
+        cfg = ExperimentConfig(
+            task="relatedness", feature_sets=(FeatureSet.GEO, FeatureSet.SYNTAX_KNN),
+            scaling="alchemy_tune", factor=2.5, epochs=3, batch_size=8, lr=0.25,
+            weight_decay=0.0, seeds=(7, 0, 3), d_model=48, n_layers=3, n_heads=6,
+            max_seq_len=20, seen=("syn00", "syn01"), unseen=("syn02",),
+            family_groups=(("syn00",), ("syn00", "syn01")),
+            categories=(("syn02", "low"), ("syn01", "high")), n_langs=9,
+            n_families=3, n_per_lang=50, n_classes=5, gen_seed=4,
+            store_dir="store/dir", corpus="corpus.tsv", out_dir="runs/x", threads=3)
+        default = ExperimentConfig()
+        assert [f.name for f in fields(cfg)
+                if getattr(cfg, f.name) == getattr(default, f.name)] == []
         path = tmp_path / "round.cfg"
         path.write_text(serialize_config(cfg), encoding="utf-8")
         assert parse_config(path) == cfg
+
+    def test_default_hash_pinned(self):
+        # the hash of the reference benchmark's config.resolved text
+        assert config_hash(ExperimentConfig()) == "52d719db707a323c"
+
+    def test_built_config_is_validated(self):
+        with pytest.raises(ConfigError, match="n_layers"):
+            ExperimentConfig(n_layers=0)
 
     def test_hash_stable(self):
         cfg = fast_cfg()
