@@ -14,7 +14,6 @@ from lingualchemy import (ALL_FEATURE_SETS, ClosedForm, ConstantScaling,
                           EncoderConfig, GradientDescent, align_representations,
                           collect_sentence_reps, fit_alignment, generate_corpus,
                           generate_languages, init_alchemy_model, train_loop)
-from lingualchemy.alchemy import make_optimizer
 from lingualchemy.alignment import export_alignment_pca
 from lingualchemy.harness import make_token_batch
 
@@ -24,8 +23,7 @@ train = corpus.subset("train").examples
 
 cfg = EncoderConfig(vocab_size=len(corpus.vocab), d_model=32, seed=1)
 model = init_alchemy_model(cfg, n_outputs=4,
-                           d_uriel=store.vector_dim(ALL_FEATURE_SETS),
-                           feature_sets=ALL_FEATURE_SETS)
+                           d_uriel=store.vector_dim(ALL_FEATURE_SETS))
 scaling = ConstantScaling(10.0)
 
 
@@ -34,11 +32,12 @@ def batches_fn(indices):
                             cfg.max_seq_len, "classification")
 
 
-model, epoch_means, _ = train_loop(model, batches_fn, len(train), store,
-                                   ALL_FEATURE_SETS, scaling, epochs=25,
-                                   batch_size=32, lr=1e-3, seed=1)
-print(f"final epoch: task loss {epoch_means[-1].l_cls:.3f}, "
-      f"auxiliary loss {epoch_means[-1].l_uriel:.3f}")
+model, trace = train_loop(model, batches_fn, len(train), store,
+                          ALL_FEATURE_SETS, scaling, epochs=25, batch_size=32,
+                          lr=1e-3, seed=1)
+# trace rows: epoch, step, l_cls, l_uriel, ...
+print(f"last step: task loss {float(trace[-1][2]):.3f}, "
+      f"auxiliary loss {float(trace[-1][3]):.3f}")
 
 batches = [batches_fn(range(i, min(i + 64, len(train))))
            for i in range(0, len(train), 64)]

@@ -20,8 +20,7 @@ train = corpus.subset("train").examples
 for scaling in (ConstantScaling(10.0), AlchemyScale(), AlchemyTune()):
     cfg = EncoderConfig(vocab_size=len(corpus.vocab), d_model=32, seed=0)
     model = init_alchemy_model(cfg, n_outputs=4,
-                               d_uriel=store.vector_dim(ALL_FEATURE_SETS),
-                               feature_sets=ALL_FEATURE_SETS)
+                               d_uriel=store.vector_dim(ALL_FEATURE_SETS))
     opt = make_optimizer(model, scaling, lr=1e-3)
     name = type(scaling).__name__
     print(f"\n{name}")

@@ -13,6 +13,13 @@ come from one of three scaling policies:
 * ``AlchemyTune`` -- weights are trainable scalars (softplus of raw
   parameters) regularized by a penalty on their sum drifting from 2.
 
+Each policy supplies its own weights, so the loss is combined one way for
+all three. ``weights(l_cls, l_uriel)`` is called once per training step with
+that step's two loss values and returns ``(lambda_cls, lambda_uriel,
+penalty)``: the weights as tensors (constants, or graph nodes that gradients
+flow into) and a penalty node to add to the total, or None. ``trainable()``
+lists the tensors the optimizer updates on the policy's behalf.
+
 Inference is language-agnostic: the store is consulted only while training.
 """
 
@@ -45,12 +52,14 @@ class ConstantScaling:
     factor: float = 10.0
 
     def __post_init__(self):
-        if self.factor < 0:
+        if not self.factor >= 0:  # also rejects nan
             raise ValueError("scaling factor must be >= 0")
 
-    @property
-    def lambdas(self) -> tuple[float, float]:
-        return 1.0, self.factor
+    def weights(self, l_cls: float, l_uriel: float):
+        return Tensor(1.0), Tensor(self.factor), None
+
+    def trainable(self) -> list[Tensor]:
+        return []
 
 
 @dataclass
@@ -71,13 +80,12 @@ class AlchemyScale:
         if self.update_period < 1:
             raise ValueError("update_period must be >= 1")
 
-    @property
-    def initialized(self) -> bool:
-        return self.ema_cls is not None
+    def weights(self, l_cls: float, l_uriel: float):
+        alchemy_scale_update(self, l_cls, l_uriel)
+        return Tensor(self.lambda_cls), Tensor(self.lambda_uriel), None
 
-    @property
-    def lambdas(self) -> tuple[float, float]:
-        return self.lambda_cls, self.lambda_uriel
+    def trainable(self) -> list[Tensor]:
+        return []
 
 
 @dataclass
@@ -87,10 +95,10 @@ class AlchemyTune:
     raw_cls: Tensor = field(default_factory=lambda: _raw_unit_lambda())
     raw_uriel: Tensor = field(default_factory=lambda: _raw_unit_lambda())
 
-    @property
-    def lambdas(self) -> tuple[float, float]:
-        return (float(np.logaddexp(0.0, self.raw_cls.data)),
-                float(np.logaddexp(0.0, self.raw_uriel.data)))
+    def weights(self, l_cls: float, l_uriel: float):
+        lam_cls, lam_uriel = ad.softplus(self.raw_cls), ad.softplus(self.raw_uriel)
+        drift = ad.add(ad.add(lam_cls, lam_uriel), -2.0)
+        return lam_cls, lam_uriel, ad.mul(drift, drift)
 
     def trainable(self) -> list[Tensor]:
         return [self.raw_cls, self.raw_uriel]
@@ -114,7 +122,7 @@ def alchemy_scale_update(state: AlchemyScale, l_cls: float, l_uriel: float) -> A
     """
     if not isinstance(state, AlchemyScale):
         raise TypeError(f"expected AlchemyScale state, got {type(state).__name__}")
-    if state.initialized:
+    if state.ema_cls is not None:
         b = state.decay
         state.ema_cls = b * state.ema_cls + (1.0 - b) * l_cls
         state.ema_uriel = b * state.ema_uriel + (1.0 - b) * l_uriel
@@ -152,30 +160,25 @@ class LossBreakdown:
 
 def combine_losses(l_cls_t: Tensor, l_uriel_t: Tensor,
                    scaling: ScalingState) -> tuple[Tensor, LossBreakdown]:
-    """``lambda_cls * task + lambda_uriel * aux`` as a graph node.
+    """``lambda_cls * task + lambda_uriel * aux`` as a graph node, with the
+    weights and penalty that ``scaling.weights`` supplies for this step.
 
-    Under AlchemyTune the weights are softplus nodes of the raw scalars, so
+    Under AlchemyScale the call feeds the step's losses into the EMAs. Under
+    AlchemyTune the weights are softplus nodes of the raw scalars, so
     gradients flow into them, and the drift penalty
     ``((lambda_cls + lambda_uriel) - 2)^2`` is added to the total.
     """
     l_cls, l_uriel = l_cls_t.item(), l_uriel_t.item()
     if l_cls < 0 or l_uriel < 0:
         raise ValueError("losses must be nonnegative")
-    mini = None
-    if isinstance(scaling, AlchemyTune):
-        lam_c_t = ad.softplus(scaling.raw_cls)
-        lam_u_t = ad.softplus(scaling.raw_uriel)
-        drift = ad.add(ad.add(lam_c_t, lam_u_t), -2.0)
-        mini_t = ad.mul(drift, drift)
-        total_t = ad.add(ad.add(ad.mul(lam_c_t, l_cls_t), ad.mul(lam_u_t, l_uriel_t)),
-                         mini_t)
-        lam_c, lam_u, mini = lam_c_t.item(), lam_u_t.item(), mini_t.item()
-    else:
-        lam_c, lam_u = scaling.lambdas
-        total_t = ad.add(ad.scale(l_cls_t, lam_c), ad.scale(l_uriel_t, lam_u))
-    breakdown = LossBreakdown(l_cls=l_cls, l_uriel=l_uriel, lambda_cls=lam_c,
-                              lambda_uriel=lam_u, total=total_t.item(),
-                              mini_loss=mini)
+    lam_cls, lam_uriel, penalty = scaling.weights(l_cls, l_uriel)
+    total_t = ad.add(ad.mul(lam_cls, l_cls_t), ad.mul(lam_uriel, l_uriel_t))
+    if penalty is not None:
+        total_t = ad.add(total_t, penalty)
+    breakdown = LossBreakdown(
+        l_cls=l_cls, l_uriel=l_uriel, lambda_cls=lam_cls.item(),
+        lambda_uriel=lam_uriel.item(), total=total_t.item(),
+        mini_loss=None if penalty is None else penalty.item())
     return total_t, breakdown
 
 
@@ -194,8 +197,6 @@ class AlchemyModel:
     head_b: Tensor
     proj_w: Tensor
     proj_b: Tensor
-    feature_sets: tuple[FeatureSet, ...]
-    d_uriel: int
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named = [(f"encoder.{k}", v) for k, v in self.encoder.items()]
@@ -208,7 +209,6 @@ class AlchemyModel:
 
 
 def init_alchemy_model(cfg: EncoderConfig, n_outputs: int, d_uriel: int,
-                       feature_sets: Sequence[FeatureSet],
                        task: str = "classification") -> AlchemyModel:
     """Build a model whose heads are drawn after the encoder from one rng.
 
@@ -231,8 +231,6 @@ def init_alchemy_model(cfg: EncoderConfig, n_outputs: int, d_uriel: int,
                       requires_grad=True),
         proj_b=Tensor(rng.uniform(-proj_bound, proj_bound, (d_uriel,)),
                       requires_grad=True),
-        feature_sets=tuple(feature_sets),
-        d_uriel=d_uriel,
     )
     return model
 
@@ -280,8 +278,6 @@ def train_step(model: AlchemyModel, batch: TokenBatch, store: UrielStore,
                opt: AdamW) -> LossBreakdown:
     """Forward, combine per the scaling policy, backward, AdamW, zero grads."""
     l_cls_t, l_uriel_t = forward_losses(model, batch, store, sets)
-    if isinstance(scaling, AlchemyScale):
-        alchemy_scale_update(scaling, l_cls_t.item(), l_uriel_t.item())
     total_t, breakdown = combine_losses(l_cls_t, l_uriel_t, scaling)
     ad.backward(total_t)
     opt.step()
@@ -296,12 +292,9 @@ def make_optimizer(model: AlchemyModel, scaling: ScalingState, lr: float,
     The raw weighting scalars are exempt from weight decay so their neutral
     point is set by the drift penalty alone.
     """
-    params = model.parameters()
-    no_decay = []
-    if isinstance(scaling, AlchemyTune):
-        params = params + scaling.trainable()
-        no_decay = scaling.trainable()
-    return AdamW(params, lr=lr, weight_decay=weight_decay, no_decay=no_decay)
+    trainable = scaling.trainable()
+    return AdamW(model.parameters() + trainable, lr=lr,
+                 weight_decay=weight_decay, no_decay=trainable)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +310,8 @@ def train_loop(model: AlchemyModel, batches_fn, n_examples: int,
                store: UrielStore, sets: Sequence[FeatureSet],
                scaling: ScalingState, epochs: int, batch_size: int,
                lr: float, seed: int, weight_decay: float = 0.01
-               ) -> tuple[AlchemyModel, list[LossBreakdown], list[list]]:
-    """Run the full schedule; returns the model, per-epoch mean breakdowns,
-    and the per-step trace rows.
+               ) -> tuple[AlchemyModel, list[list]]:
+    """Run the full schedule; returns the model and the per-step trace rows.
 
     ``batches_fn(indices) -> TokenBatch`` materializes a batch for the given
     example indices; shuffling is fixed per (seed, epoch) so identical seeds
@@ -327,12 +319,10 @@ def train_loop(model: AlchemyModel, batches_fn, n_examples: int,
     ``NumericError`` naming the epoch and step as ``trace.csv`` numbers them.
     """
     opt = make_optimizer(model, scaling, lr=lr, weight_decay=weight_decay)
-    epoch_means: list[LossBreakdown] = []
     trace_rows: list[list] = []
     global_step = 0
     for epoch in range(epochs):
         order = np.random.default_rng([seed, epoch]).permutation(n_examples)
-        collected: list[LossBreakdown] = []
         for idx in iterate_batches(order, batch_size):
             batch = batches_fn(idx)
             breakdown = train_step(model, batch, store, sets, scaling, opt)
@@ -341,23 +331,8 @@ def train_loop(model: AlchemyModel, batches_fn, n_examples: int,
                 if not math.isfinite(getattr(breakdown, name)):
                     raise NumericError(f"non-finite {name} at epoch {epoch}, "
                                        f"step {global_step}")
-            collected.append(breakdown)
             trace_rows.append(breakdown.as_row(epoch, global_step))
-        if collected:
-            epoch_means.append(_mean_breakdown(collected))
-    return model, epoch_means, trace_rows
-
-
-def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
-    minis = [b.mini_loss for b in items if b.mini_loss is not None]
-    return LossBreakdown(
-        l_cls=float(np.mean([b.l_cls for b in items])),
-        l_uriel=float(np.mean([b.l_uriel for b in items])),
-        lambda_cls=float(np.mean([b.lambda_cls for b in items])),
-        lambda_uriel=float(np.mean([b.lambda_uriel for b in items])),
-        total=float(np.mean([b.total for b in items])),
-        mini_loss=float(np.mean(minis)) if minis else None,
-    )
+    return model, trace_rows
 
 
 # ---------------------------------------------------------------------------

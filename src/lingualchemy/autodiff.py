@@ -310,10 +310,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray,
     return _make(merge(p @ vh), (q, k, v), vjp)
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    return _make(x.data * factor, (x,), lambda g: (g * factor,))
-
-
 # ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------

@@ -106,8 +106,6 @@ class ExperimentConfig:
         if self.scaling not in SCALING_MODES:
             raise ConfigError(f"scaling must be one of {SCALING_MODES}, "
                               f"got {self.scaling!r}")
-        if self.factor < 0:
-            raise ConfigError("factor must be >= 0")
         if not self.feature_sets:
             raise ConfigError("feature_sets must be nonempty")
         if len(set(self.feature_sets)) != len(self.feature_sets):
@@ -116,18 +114,14 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be >= 0")
-        if self.gen_seed < 0:
-            raise ConfigError("gen_seed must be >= 0")
         if not self.lr > 0:  # also rejects nan
             raise ConfigError("lr must be > 0")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
-        if self.n_layers < 1:
-            raise ConfigError("n_layers must be >= 1")
-        for key in ("epochs", "batch_size", "n_langs", "n_families",
-                    "n_per_lang", "n_classes"):
-            if getattr(self, key) < (0 if key == "epochs" else 1):
-                raise ConfigError(f"{key} must be positive")
+        for key, bound in (("factor", 0), ("weight_decay", 0), ("gen_seed", 0),
+                           ("threads", 0), ("epochs", 0), ("n_layers", 1),
+                           ("batch_size", 1), ("n_langs", 1), ("n_families", 1),
+                           ("n_per_lang", 1), ("n_classes", 1)):
+            if not getattr(self, key) >= bound:  # also rejects nan
+                raise ConfigError(f"{key} must be >= {bound}")
         try:
             _encoder_config(self, vocab_size=1, seed=0)
         except ValueError as exc:
@@ -397,7 +391,7 @@ def build_model(cfg: ExperimentConfig, vocab_size: int, d_uriel: int,
     return init_alchemy_model(
         _encoder_config(cfg, vocab_size, seed),
         n_outputs=cfg.n_classes if task == "classification" else 1,
-        d_uriel=d_uriel, feature_sets=cfg.feature_sets, task=task)
+        d_uriel=d_uriel, task=task)
 
 
 def _make_scaling(cfg: ExperimentConfig) -> ScalingState:
@@ -440,7 +434,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
         return make_token_batch([train_examples[i] for i in indices],
                                 bench.corpus.vocab, cfg.max_seq_len, cfg.task)
 
-    model, _, trace_rows = train_loop(
+    model, trace_rows = train_loop(
         model, batches_fn, len(train_examples), bench.store, cfg.feature_sets,
         scaling, epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
         seed=seed, weight_decay=cfg.weight_decay)

@@ -106,8 +106,7 @@ class TestCriterion1Gradients:
         cfg = EncoderConfig(vocab_size=11, d_model=4, n_heads=2, n_layers=1,
                             max_seq_len=8, seed=5)
         for trial in range(20):
-            model = init_alchemy_model(cfg, n_outputs=3, d_uriel=2,
-                                       feature_sets=(FeatureSet.SYNTAX_KNN,))
+            model = init_alchemy_model(cfg, n_outputs=3, d_uriel=2)
             n_params = sum(p.data.size for p in model.parameters())
             assert n_params <= 1000, n_params
             batch = random_batch(np.random.default_rng(trial), 11)
@@ -116,7 +115,7 @@ class TestCriterion1Gradients:
             def full_loss():
                 l_cls, l_uriel = forward_losses(model, batch, tiny_store,
                                                 [FeatureSet.SYNTAX_KNN])
-                return ad.add(ad.scale(l_cls, 1.0), ad.scale(l_uriel, 3.0))
+                return combine_losses(l_cls, l_uriel, scaling)[0]
 
             loss = full_loss()
             ad.backward(loss)
@@ -201,11 +200,11 @@ class TestCriterion4ZeroRegularizerEquivalence:
                             max_seq_len=8, seed=21)
         batch = random_batch(np.random.default_rng(4), 13, n=8)
 
-        regularized = init_alchemy_model(cfg, 3, 2, (FeatureSet.SYNTAX_KNN,))
+        regularized = init_alchemy_model(cfg, 3, 2)
         scaling = ConstantScaling(0.0)
         opt_r = make_optimizer(regularized, scaling, lr=1e-3)
 
-        plain = init_alchemy_model(cfg, 3, 2, (FeatureSet.SYNTAX_KNN,))
+        plain = init_alchemy_model(cfg, 3, 2)
         opt_p = AdamW(list(plain.encoder.values()) + [plain.head_w, plain.head_b],
                       lr=1e-3, weight_decay=0.01)
 
@@ -280,8 +279,7 @@ class TestCriterion7OverfitSmoke:
         examples = corpus.examples  # all 200, every split
         cfg = EncoderConfig(vocab_size=len(corpus.vocab), seed=7)
         model = init_alchemy_model(cfg, n_outputs=4,
-                                   d_uriel=store.vector_dim(ALL_FEATURE_SETS),
-                                   feature_sets=ALL_FEATURE_SETS)
+                                   d_uriel=store.vector_dim(ALL_FEATURE_SETS))
         scaling = ConstantScaling(1.0)
         opt = make_optimizer(model, scaling, lr=1e-3)
         acc = 0.0

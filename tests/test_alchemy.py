@@ -30,8 +30,7 @@ def small_store(tmp_path):
 def tiny_model(seed=0, d_uriel=2, n_outputs=3):
     cfg = EncoderConfig(vocab_size=13, d_model=8, n_heads=2, n_layers=1,
                         max_seq_len=6, seed=seed)
-    return init_alchemy_model(cfg, n_outputs=n_outputs, d_uriel=d_uriel,
-                              feature_sets=tuple(SETS))
+    return init_alchemy_model(cfg, n_outputs=n_outputs, d_uriel=d_uriel)
 
 
 def tiny_batch(langs=("aa", "bb"), labels=(0, 1), seed=0):
@@ -212,11 +211,9 @@ class TestAlchemyScale:
 
 class TestAlchemyTune:
     def test_neutral_lambdas_no_penalty(self):
-        state = AlchemyTune()
-        lam_c, lam_u = state.lambdas
-        assert lam_c == pytest.approx(1.0, abs=1e-12)
-        assert lam_u == pytest.approx(1.0, abs=1e-12)
-        bd = combined(0.5, 0.5, state)
+        bd = combined(0.5, 0.5, AlchemyTune())
+        assert bd.lambda_cls == pytest.approx(1.0, abs=1e-12)
+        assert bd.lambda_uriel == pytest.approx(1.0, abs=1e-12)
         assert bd.mini_loss == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_mini_loss(self):
@@ -231,7 +228,7 @@ class TestAlchemyTune:
         state = AlchemyTune()
         for raw in (-50.0, -5.0, 0.0, 5.0):
             state.raw_cls.data = np.asarray(raw)
-            assert state.lambdas[0] > 0.0
+            assert combined(0.5, 0.5, state).lambda_cls > 0.0
 
     def test_gradients_flow_into_raw_scalars(self):
         state = AlchemyTune()
@@ -282,8 +279,7 @@ class TestTrainStep:
     def test_single_batch_overfit(self, small_store):
         cfg = EncoderConfig(vocab_size=13, d_model=16, n_heads=2, n_layers=1,
                             max_seq_len=8, seed=3)
-        model = init_alchemy_model(cfg, n_outputs=4, d_uriel=2,
-                                   feature_sets=tuple(SETS))
+        model = init_alchemy_model(cfg, n_outputs=4, d_uriel=2)
         rng = np.random.default_rng(0)
         ids = rng.integers(0, 13, size=(32, 7))
         ids[:, 0] = 0
@@ -311,6 +307,15 @@ class TestTrainStep:
         assert (scaling.ema_cls, scaling.ema_uriel) == (bd.l_cls, bd.l_uriel)
         assert scaling.step == 0
 
+    def test_alchemy_scale_updates_once_per_step(self, small_store):
+        # the first step sets the EMAs up; each later step advances them once
+        model = tiny_model()
+        scaling = AlchemyScale()
+        opt = make_optimizer(model, scaling, lr=1e-3)
+        for k in range(1, 5):
+            train_step(model, tiny_batch(), small_store, SETS, scaling, opt)
+            assert scaling.step == k - 1
+
     def test_alchemy_tune_moves_raws(self, small_store):
         model = tiny_model()
         scaling = AlchemyTune()
@@ -319,6 +324,18 @@ class TestTrainStep:
         for _ in range(3):
             train_step(model, tiny_batch(), small_store, SETS, scaling, opt)
         assert scaling.raw_cls.data != before
+
+    def test_optimizer_adds_only_tune_scalars(self):
+        model = tiny_model()
+        params = model.parameters()
+        for scaling in (ConstantScaling(), AlchemyScale()):
+            opt = make_optimizer(model, scaling, lr=1e-3)
+            assert opt.params == params and opt._no_decay == set()
+        tune = AlchemyTune()
+        opt = make_optimizer(model, tune, lr=1e-3)
+        assert opt.params == params + [tune.raw_cls, tune.raw_uriel]
+        # the raw scalars are exempt from weight decay
+        assert opt._no_decay == {id(tune.raw_cls), id(tune.raw_uriel)}
 
 
 class TestTrainLoop:
@@ -336,28 +353,27 @@ class TestTrainLoop:
                           epochs=epochs, batch_size=2, lr=1e-3, seed=seed)
 
     def test_zero_epochs_leaves_parameters(self, small_store):
-        model, means, trace = self._loop(small_store, 0, ConstantScaling(1.0))
+        model, trace = self._loop(small_store, 0, ConstantScaling(1.0))
         reference = tiny_model(seed=0)
         for (_, a), (_, b) in zip(model.named_parameters(),
                                   reference.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
-        assert means == [] and trace == []
+        assert trace == []
 
     def test_same_seed_identical_traces(self, small_store):
-        _, _, t1 = self._loop(small_store, 3, ConstantScaling(2.0), seed=4)
-        _, _, t2 = self._loop(small_store, 3, ConstantScaling(2.0), seed=4)
+        _, t1 = self._loop(small_store, 3, ConstantScaling(2.0), seed=4)
+        _, t2 = self._loop(small_store, 3, ConstantScaling(2.0), seed=4)
         assert t1 == t2
 
     def test_trace_rows_shape(self, small_store):
-        _, means, trace = self._loop(small_store, 2, AlchemyTune())
+        _, trace = self._loop(small_store, 2, AlchemyTune())
         assert len(trace) == 2
         assert len(trace[0]) == 8
-        assert len(means) == 2
 
     def test_non_finite_loss_stops_training(self, small_store):
         # regression targets of inf make the task loss inf on the first step
         model = init_alchemy_model(tiny_model().cfg, n_outputs=1, d_uriel=2,
-                                   feature_sets=tuple(SETS), task="regression")
+                                   task="regression")
         base = tiny_batch()
         batch = TokenBatch(ids=base.ids, attention_mask=base.attention_mask,
                            langs=base.langs, labels=np.array([np.inf, 0.0]))

@@ -176,8 +176,7 @@ class TestCollectSentenceReps:
         store = load_uriel_tsv({FeatureSet.SYNTAX_KNN: path})
         cfg = EncoderConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=1,
                             max_seq_len=6, seed=0)
-        model = init_alchemy_model(cfg, n_outputs=2, d_uriel=2,
-                                   feature_sets=(FeatureSet.SYNTAX_KNN,))
+        model = init_alchemy_model(cfg, n_outputs=2, d_uriel=2)
         rng = np.random.default_rng(4)
         ids = rng.integers(0, 11, size=(5, 6))
         ids[:, 0] = 0

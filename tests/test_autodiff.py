@@ -388,7 +388,7 @@ class TestGradProperty:
             b = Tensor(r.normal(size=(3, 4)), requires_grad=True)
             m = Tensor(r.normal(size=(4, 2)), requires_grad=True)
             c = Tensor(r.normal(size=2), requires_grad=True)
-            run_gradcheck(lambda: ad.mul(ad.add(a, b), ad.add(a, ad.scale(b, -1.0))),
+            run_gradcheck(lambda: ad.mul(ad.add(a, b), ad.add(a, ad.mul(b, -1.0))),
                           [a, b], tol=1e-4)
             run_gradcheck(lambda: ad.linear(ad.gelu(a), m, c), [a, m, c], tol=1e-4)
 

@@ -74,9 +74,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("line, argv", [
         ("n_layers = -1", ()), ("n_layers = 0", ()), ("lr = -0.5", ()),
         ("weight_decay = -3", ()), ("seeds = -1", ()), ("gen_seed = -1", ()),
-        ("", ("--seed", "-1"))],
+        ("", ("--seed", "-1")), ("threads = -3", ()), ("", ("--threads", "-3")),
+        ("factor = nan", ()), ("epochs = -1", ())],
         ids=["n_layers-1", "n_layers0", "lr", "weight_decay", "seeds",
-             "gen_seed", "seed_flag"])
+             "gen_seed", "seed_flag", "threads", "threads_flag", "factor_nan",
+             "epochs"])
     def test_out_of_range_value_is_2(self, tmp_path, capsys, line, argv):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n", encoding="utf-8")

@@ -49,8 +49,7 @@ class TestTrainLoopRuntime:
         assert len(train) <= 5000
         cfg = EncoderConfig(vocab_size=len(corpus.vocab), seed=1)  # d_model 64
         model = init_alchemy_model(cfg, n_outputs=4,
-                                   d_uriel=store.vector_dim(ALL_FEATURE_SETS),
-                                   feature_sets=ALL_FEATURE_SETS)
+                                   d_uriel=store.vector_dim(ALL_FEATURE_SETS))
 
         def batches_fn(indices):
             return make_token_batch([train[i] for i in indices], corpus.vocab,
