@@ -153,9 +153,8 @@ class LossBreakdown:
     mini_loss: float | None = None
 
     def as_row(self, epoch: int, step: int) -> list:
-        mini = "" if self.mini_loss is None else repr(self.mini_loss)
-        return [epoch, step, repr(self.l_cls), repr(self.l_uriel),
-                repr(self.lambda_cls), repr(self.lambda_uriel), mini, repr(self.total)]
+        return [epoch, step, self.l_cls, self.l_uriel, self.lambda_cls,
+                self.lambda_uriel, self.mini_loss, self.total]
 
 
 def combine_losses(l_cls_t: Tensor, l_uriel_t: Tensor,
@@ -276,9 +275,13 @@ def forward_losses(model: AlchemyModel, batch: TokenBatch, store: UrielStore,
 def train_step(model: AlchemyModel, batch: TokenBatch, store: UrielStore,
                sets: Sequence[FeatureSet], scaling: ScalingState,
                opt: AdamW) -> LossBreakdown:
-    """Forward, combine per the scaling policy, backward, AdamW, zero grads."""
+    """Forward, combine per the scaling policy, backward, AdamW, zero grads;
+    a non-finite loss raises ``NumericError`` before backward."""
     l_cls_t, l_uriel_t = forward_losses(model, batch, store, sets)
     total_t, breakdown = combine_losses(l_cls_t, l_uriel_t, scaling)
+    for name in ("l_cls", "l_uriel", "total"):
+        if not math.isfinite(getattr(breakdown, name)):
+            raise NumericError(f"non-finite {name}")
     ad.backward(total_t)
     opt.step()
     opt.zero_grad()
@@ -325,12 +328,12 @@ def train_loop(model: AlchemyModel, batches_fn, n_examples: int,
         order = np.random.default_rng([seed, epoch]).permutation(n_examples)
         for idx in iterate_batches(order, batch_size):
             batch = batches_fn(idx)
-            breakdown = train_step(model, batch, store, sets, scaling, opt)
             global_step += 1
-            for name in ("l_cls", "l_uriel", "total"):
-                if not math.isfinite(getattr(breakdown, name)):
-                    raise NumericError(f"non-finite {name} at epoch {epoch}, "
-                                       f"step {global_step}")
+            try:
+                breakdown = train_step(model, batch, store, sets, scaling, opt)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at epoch {epoch}, "
+                                   f"step {global_step}") from None
             trace_rows.append(breakdown.as_row(epoch, global_step))
     return model, trace_rows
 

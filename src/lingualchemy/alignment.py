@@ -8,7 +8,6 @@ the closed form doubles as the optimality oracle for the iterative path.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .alchemy import AlchemyModel
 from .encoder import TokenBatch, encoder_forward, pool_mean_masked
-from .errors import NumericError
+from .errors import NumericError, write_csv
 from .uriel import FeatureSet, UrielStore
 
 
@@ -192,20 +191,14 @@ def export_alignment_pca(aligned: np.ndarray, targets: np.ndarray,
     cloud = np.concatenate([aligned, targets], axis=0)
     proj = pca_2d(cloud)
     n = len(aligned)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "lang", "pc1", "pc2"])
-        for kind, offset in (("lang_rep", 0), ("uriel", n)):
-            for i, lang in enumerate(langs):
-                pc1, pc2 = proj[offset + i].tolist()
-                writer.writerow([kind, lang, repr(pc1), repr(pc2)])
+    write_csv(path, ["kind", "lang", "pc1", "pc2"],
+              [[kind, lang, *proj[offset + i]]
+               for kind, offset in (("lang_rep", 0), ("uriel", n))
+               for i, lang in enumerate(langs)])
 
 
 def export_alignment_report(fits: Sequence[AlignmentFit], n: int, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "n", "d_rep", "d_uriel", "residual_mse", "r_squared"])
-        for fit in fits:
-            name = type(fit.method).__name__
-            writer.writerow([name, n, fit.weight.shape[1], fit.weight.shape[0],
-                             repr(fit.residual_mse), repr(fit.r_squared)])
+    write_csv(path, ["method", "n", "d_rep", "d_uriel", "residual_mse", "r_squared"],
+              [[type(fit.method).__name__, n, fit.weight.shape[1],
+                fit.weight.shape[0], fit.residual_mse, fit.r_squared]
+               for fit in fits])

@@ -8,23 +8,18 @@ family-gen. Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import alignment as al
-from .alchemy import AlchemyModel
-from .autodiff import load_checkpoint
-from .errors import ConfigError, DataError, NumericError
-from .harness import (Benchmark, ExperimentConfig, ablation_sweep, build_model,
-                      config_items, eval_batches, evaluate_languages,
-                      export_sweep, family_split_experiment, parse_config,
+from .errors import ConfigError, DataError, NumericError, write_csv
+from .harness import (ExperimentConfig, ablation_sweep, config_items,
+                      eval_batches, evaluate_languages, export_sweep,
+                      family_split_experiment, load_run, parse_config,
                       prepare_benchmark, run_experiment, scaling_sweep,
                       svg_line_chart)
-from .synthlang import Vocab, write_corpus_tsv
+from .synthlang import write_corpus_tsv
 from .uriel import write_uriel_tsv
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
@@ -68,52 +63,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _rebuild_model(cfg: ExperimentConfig, vocab: Vocab, d_uriel: int,
-                   checkpoint: Path) -> AlchemyModel:
-    model = build_model(cfg, len(vocab), d_uriel, cfg.seeds[0])
-    weights = load_checkpoint(checkpoint)
-    for name, tensor in model.named_parameters():
-        if name not in weights:
-            raise DataError(f"checkpoint is missing parameter {name!r}")
-        if weights[name].shape != tensor.data.shape:
-            raise DataError(f"checkpoint parameter {name!r} has shape "
-                            f"{weights[name].shape}, expected {tensor.data.shape}")
-        tensor.data = weights[name].astype(np.float64)
-    return model
-
-
-def _load_run(args) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
-    """Rebuild a trained run from ``--run-dir``.
-
-    The config is the run's own ``config.resolved``; only ``out_dir`` comes
-    from this invocation. The vocab (which the returned benchmark's corpus
-    uses) and weights come from ``vocab.tsv`` and ``checkpoint.lalc`` in the
-    same directory.
-    """
-    run_dir = Path(args.run_dir)
-    cfg = replace(parse_config(run_dir / "config.resolved"),
-                  out_dir=_load_config(args).out_dir)
-    bench = prepare_benchmark(cfg)
-    vocab = Vocab.load(run_dir / "vocab.tsv")
-    model = _rebuild_model(cfg, vocab, bench.store.vector_dim(cfg.feature_sets),
-                           run_dir / "checkpoint.lalc")
-    return cfg, replace(bench, corpus=bench.corpus.with_vocab(vocab)), model
-
-
 def cmd_eval(args) -> int:
-    cfg, bench, model = _load_run(args)
+    _load_config(args)  # a malformed --config still exits 2
+    cfg, bench, model = load_run(args.run_dir)
     for lang, split_tag, value in evaluate_languages(model, bench, cfg):
         print(f"{lang}\t{split_tag}\t{value:.4f}")
     return 0
 
 
 def cmd_align(args) -> int:
-    cfg, bench, model = _load_run(args)
+    out = Path(_load_config(args).out_dir)
+    cfg, bench, model = load_run(args.run_dir)
     batches = eval_batches(bench.corpus.subset("train"), cfg)
     data = al.collect_sentence_reps(model, batches, bench.store, cfg.feature_sets)
     closed = al.fit_alignment(data, al.ClosedForm())
     descended = al.fit_alignment(data, al.GradientDescent())
-    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     al.export_alignment_report([closed, descended], len(data.reps),
                                out / "alignment_report.csv")
@@ -160,13 +124,10 @@ def cmd_family_gen(args) -> int:
     for seed in cfg.seeds:
         reports = family_split_experiment(cfg, seed=seed)
         for group, report in enumerate(reports, start=1):
-            rows += [(lang, group, seed, repr(value))
+            rows += [(lang, group, seed, value)
                      for lang, split_tag, value in report.rows
                      if split_tag == "unseen"]
-    with open(out / "family_trajectory.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lang", "group", "seed", "value"])
-        writer.writerows(rows)
+    write_csv(out / "family_trajectory.csv", ["lang", "group", "seed", "value"], rows)
     print(f"wrote {out / 'family_trajectory.csv'}")
     return 0
 

@@ -3,9 +3,11 @@
 The CLI maps these onto process exit codes, so anything user-facing
 should raise one of the three roots (or a subclass) rather than a bare
 ValueError. Text input is read through :func:`read_text_lines`, so bytes
-that are not UTF-8 end in one of them too.
+that are not UTF-8 end in one of them too; every CSV is written through
+:func:`write_csv`.
 """
 
+import csv
 import io
 from pathlib import Path
 
@@ -49,3 +51,14 @@ def read_text_lines(path, error=DataError) -> list[str]:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{line_no}: not UTF-8 text") from None
     return [line.rstrip("\n") for line in text]
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then ``rows`` as CSV. A float cell, numpy's included,
+    is written as Python's ``repr`` of the float, and None as an empty cell,
+    so every number reads back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([float(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)

@@ -8,8 +8,8 @@ equals an independent run with the same configuration and seed.
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import math
 import os
 import shutil
 import time
@@ -22,9 +22,10 @@ import numpy as np
 from .alchemy import (AlchemyModel, AlchemyScale, AlchemyTune, ConstantScaling,
                       ScalingState, TRACE_HEADER, init_alchemy_model,
                       predict_classes, predict_logits, train_loop)
-from .autodiff import save_checkpoint
+from .autodiff import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, TokenBatch
-from .errors import ConfigError, DataError, NumericError, read_text_lines
+from .errors import (ConfigError, DataError, NumericError, read_text_lines,
+                     write_csv)
 from .synthlang import (UNK_ID, Corpus, Example, Vocab, generate_corpus,
                         generate_languages, read_corpus_tsv, tokenize)
 from .uriel import ALL_FEATURE_SETS, FeatureSet, UrielStore, load_uriel_tsv
@@ -114,10 +115,13 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be >= 0")
-        if not self.lr > 0:  # also rejects nan
-            raise ConfigError("lr must be > 0")
-        for key, bound in (("factor", 0), ("weight_decay", 0), ("gen_seed", 0),
-                           ("threads", 0), ("epochs", 0), ("n_layers", 1),
+        if not 0 < self.lr < math.inf:  # also rejects nan
+            raise ConfigError("lr must be finite and > 0")
+        for key in ("factor", "weight_decay"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0")
+        for key, bound in (("gen_seed", 0), ("threads", 0), ("epochs", 0),
+                           ("n_layers", 1),
                            ("batch_size", 1), ("n_langs", 1), ("n_families", 1),
                            ("n_per_lang", 1), ("n_classes", 1)):
             if not getattr(self, key) >= bound:  # also rejects nan
@@ -413,12 +417,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
 
     The unseen evaluation uses model outputs alone; no linguistic vector is
     consulted after training. With ``persist`` the run directory receives
-    report.csv, trace.csv, config.resolved, plot.svg, vocab.tsv and a
-    checkpoint; partial outputs are removed if the run fails.
+    report.csv, trace.csv and plot.svg (``export_report``), config.resolved,
+    which reruns this seed alone, vocab.tsv and a checkpoint; ``load_run``
+    reads it back. Partial outputs are removed if the run fails.
     """
     seed = cfg.seeds[0] if seed is None else seed
     bench = benchmark if benchmark is not None else prepare_benchmark(cfg)
-    resolved = replace(cfg, seen=bench.seen, unseen=bench.unseen)
+    resolved = replace(cfg, seen=bench.seen, unseen=bench.unseen, seeds=(seed,))
 
     t0 = time.perf_counter()
     train_corpus = bench.corpus.for_langs(bench.seen).subset("train")
@@ -451,13 +456,36 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
         run_dir = Path(run_dir) if run_dir else Path(cfg.out_dir) / f"run_seed{seed}"
         try:
             run_dir.mkdir(parents=True, exist_ok=True)
-            export_report(report, run_dir, resolved_config=resolved)
+            export_report(report, run_dir)
+            (run_dir / "config.resolved").write_text(serialize_config(resolved),
+                                                     encoding="utf-8")
             bench.corpus.vocab.save(run_dir / "vocab.tsv")
             save_checkpoint(run_dir / "checkpoint.lalc", model.named_parameters())
         except BaseException:
             shutil.rmtree(run_dir, ignore_errors=True)
             raise
     return report
+
+
+def load_run(run_dir) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
+    """The config (its config.resolved), benchmark (its corpus on vocab.tsv)
+    and trained model of a directory that ``run_experiment`` persisted; the
+    checkpoint must name and shape every parameter."""
+    run_dir = Path(run_dir)
+    cfg = parse_config(run_dir / "config.resolved")
+    bench = prepare_benchmark(cfg)
+    vocab = Vocab.load(run_dir / "vocab.tsv")
+    model = build_model(cfg, len(vocab), bench.store.vector_dim(cfg.feature_sets),
+                        cfg.seeds[0])
+    weights = load_checkpoint(run_dir / "checkpoint.lalc")
+    for name, tensor in model.named_parameters():
+        if name not in weights:
+            raise DataError(f"checkpoint is missing parameter {name!r}")
+        if weights[name].shape != tensor.data.shape:
+            raise DataError(f"checkpoint parameter {name!r} has shape "
+                            f"{weights[name].shape}, expected {tensor.data.shape}")
+        tensor.data = weights[name].astype(np.float64)
+    return cfg, replace(bench, corpus=bench.corpus.with_vocab(vocab)), model
 
 
 def evaluate_languages(model, bench: Benchmark,
@@ -625,41 +653,29 @@ def ablation_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 
 def export_sweep(rows: list[SweepRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        seeds = [s for s, _ in rows[0].per_seed]
-        writer.writerow(["row", "recommended", "unseen_mean"]
-                        + [f"seed{s}" for s in seeds])
-        for row in rows:
-            writer.writerow([row.label, str(row.recommended).lower(),
-                             repr(row.mean)] + [repr(v) for _, v in row.per_seed])
+    seeds = [s for s, _ in rows[0].per_seed]
+    write_csv(path, ["row", "recommended", "unseen_mean"]
+              + [f"seed{s}" for s in seeds],
+              [[row.label, str(row.recommended).lower(), row.mean]
+               + [v for _, v in row.per_seed] for row in rows])
 
 
 # ---------------------------------------------------------------------------
 # report export
 # ---------------------------------------------------------------------------
 
-def export_report(report: MetricsReport, directory,
-                  resolved_config: ExperimentConfig | None = None) -> None:
-    """Write report.csv, trace.csv, config.resolved and plot.svg.
+def export_report(report: MetricsReport, directory) -> None:
+    """Write report.csv, trace.csv and plot.svg.
 
-    Output bytes are a pure function of the report (and config), so
-    re-exporting an identical report reproduces identical files.
+    Output bytes are a pure function of the report, so re-exporting an
+    identical report reproduces identical files.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lang", "split", "metric", "value"])
-        for lang, split_tag, value in report.rows:
-            writer.writerow([lang, split_tag, report.metric_name, repr(value)])
-    with open(directory / "trace.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        writer.writerows(report.trace)
-    if resolved_config is not None:
-        (directory / "config.resolved").write_text(
-            serialize_config(resolved_config), encoding="utf-8")
+    write_csv(directory / "report.csv", ["lang", "split", "metric", "value"],
+              [[lang, split_tag, report.metric_name, value]
+               for lang, split_tag, value in report.rows])
+    write_csv(directory / "trace.csv", TRACE_HEADER, report.trace)
     labels = [lang for lang, _, _ in report.rows]
     values = [v for _, _, v in report.rows]
     tags = [t for _, t, _ in report.rows]

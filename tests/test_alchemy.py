@@ -377,11 +377,15 @@ class TestTrainLoop:
         base = tiny_batch()
         batch = TokenBatch(ids=base.ids, attention_mask=base.attention_mask,
                            langs=base.langs, labels=np.array([np.inf, 0.0]))
+        initial = [p.data.copy() for p in model.parameters()]
         with np.errstate(invalid="ignore"), pytest.raises(
                 NumericError, match=r"non-finite l_cls at epoch 0, step 1$"):
             train_loop(model, lambda indices: batch, 2, small_store, SETS,
                        ConstantScaling(1.0), epochs=2, batch_size=2,
                        lr=1e-3, seed=0)
+        # the loss is checked before backward, so AdamW never ran
+        for param, before in zip(model.parameters(), initial):
+            np.testing.assert_array_equal(param.data, before)
 
 
 class TestZeroRegularizerEquivalence:

@@ -39,6 +39,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def read_numeric_csv(path, labels, blank_ok=()):
+    """The rows of a CSV whose every data cell after the first ``labels``
+    columns parses as a plain number; columns in ``blank_ok`` may be empty."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        for col, cell in enumerate(row[labels:], start=labels):
+            if not (col in blank_ok and cell == ""):
+                float(cell)  # raises on anything but a plain number
+    return rows
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     """One `train` run directory, shared read-only by the tests that need it."""
@@ -75,10 +87,11 @@ class TestExitCodes:
         ("n_layers = -1", ()), ("n_layers = 0", ()), ("lr = -0.5", ()),
         ("weight_decay = -3", ()), ("seeds = -1", ()), ("gen_seed = -1", ()),
         ("", ("--seed", "-1")), ("threads = -3", ()), ("", ("--threads", "-3")),
-        ("factor = nan", ()), ("epochs = -1", ())],
+        ("factor = nan", ()), ("epochs = -1", ()), ("factor = inf", ()),
+        ("lr = inf", ()), ("weight_decay = inf", ())],
         ids=["n_layers-1", "n_layers0", "lr", "weight_decay", "seeds",
              "gen_seed", "seed_flag", "threads", "threads_flag", "factor_nan",
-             "epochs"])
+             "epochs", "factor_inf", "lr_inf", "weight_decay_inf"])
     def test_out_of_range_value_is_2(self, tmp_path, capsys, line, argv):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n", encoding="utf-8")
@@ -97,10 +110,10 @@ class TestExitCodes:
         import lingualchemy.cli as cli
         from lingualchemy.errors import NumericError
 
-        def boom(args):
+        def boom(*args, **kwargs):
             raise NumericError("singular")
 
-        monkeypatch.setitem(cli._COMMANDS, "train", boom)
+        monkeypatch.setattr(cli, "run_experiment", boom)
         assert run_cli("train") == 4
 
 
@@ -122,6 +135,8 @@ class TestTrainEvalAlign:
         for name in ("report.csv", "trace.csv", "config.resolved",
                      "plot.svg", "checkpoint.lalc", "vocab.tsv"):
             assert (out / name).exists(), name
+        # mini_loss is empty when the scaling mode adds no penalty
+        read_numeric_csv(out / "trace.csv", 0, blank_ok={6})
         trained = [line for line in capsys.readouterr().out.splitlines()
                    if "\t" in line]
 
@@ -136,16 +151,9 @@ class TestTrainEvalAlign:
                        "align", "--run-dir", str(out)) == 0
         assert (align_out / "alignment_report.csv").exists()
         assert (align_out / "alignment_pca.csv").exists()
-        with open(align_out / "alignment_report.csv") as fh:
-            rows = list(csv.reader(fh))
+        rows = read_numeric_csv(align_out / "alignment_report.csv", 1)
         assert rows[0][0] == "method" and len(rows) == 3
-        for name, labels in (("alignment_report.csv", 1),
-                             ("alignment_pca.csv", 2)):
-            with open(align_out / name) as fh:
-                rows = list(csv.reader(fh))
-            for row in rows[1:]:
-                for cell in row[labels:]:
-                    float(cell)  # raises on anything but a plain number
+        read_numeric_csv(align_out / "alignment_pca.csv", 2)
 
     def test_eval_and_align_use_the_runs_own_config(self, tmp_path,
                                                     trained_run, capsys):
@@ -169,8 +177,7 @@ class TestTrainEvalAlign:
     def test_report_csv_schema(self, tmp_path, cfg_file):
         out = tmp_path / "run2"
         run_cli("--config", str(cfg_file), "--out", str(out), "train")
-        with open(out / "report.csv") as fh:
-            rows = list(csv.reader(fh))
+        rows = read_numeric_csv(out / "report.csv", 3)
         assert rows[0] == ["lang", "split", "metric", "value"]
         assert all(r[2] == "accuracy" for r in rows[1:])
 
@@ -260,8 +267,7 @@ class TestSweeps:
         out = tmp_path / "sweep"
         assert run_cli("--config", str(cfg), "--out", str(out),
                        "sweep-scale") == 0
-        with open(out / "scaling_sweep.csv") as fh:
-            rows = list(csv.reader(fh))
+        rows = read_numeric_csv(out / "scaling_sweep.csv", 2)
         labels = [r[0] for r in rows[1:]]
         assert labels == ["0x", "10x", "25x", "50x", "100x",
                           "AlchemyScale", "AlchemyTune"]
@@ -276,8 +282,7 @@ class TestSweeps:
         out = tmp_path / "feat"
         assert run_cli("--config", str(cfg), "--out", str(out),
                        "sweep-features") == 0
-        with open(out / "feature_ablation.csv") as fh:
-            rows = list(csv.reader(fh))
+        rows = read_numeric_csv(out / "feature_ablation.csv", 2)
         assert len(rows) == 8
         flagged = [r for r in rows[1:] if r[1] == "true"]
         assert len(flagged) == 1
@@ -295,8 +300,7 @@ class TestFamilyGen:
         out = tmp_path / "fam"
         assert run_cli("--config", str(cfg), "--out", str(out),
                        "family-gen") == 0
-        with open(out / "family_trajectory.csv") as fh:
-            rows = list(csv.reader(fh))
+        rows = read_numeric_csv(out / "family_trajectory.csv", 1)
         assert rows[0] == ["lang", "group", "seed", "value"]
         langs = {r[0] for r in rows[1:]}
         assert langs == {"syn04", "syn05"}

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from lingualchemy.alchemy import predict_logits
-from lingualchemy.errors import ConfigError, DataError, NumericError
+from lingualchemy.errors import ConfigError, DataError, NumericError, write_csv
 from lingualchemy.harness import (ExperimentConfig, MetricsReport, SweepRow,
                                   accuracy, build_model, config_hash,
-                                  export_report, export_sweep,
-                                  family_split_experiment, feature_combo_label,
+                                  evaluate_languages, export_report,
+                                  export_sweep, family_split_experiment,
+                                  feature_combo_label, load_run,
                                   make_token_batch, parse_config, pearson,
                                   prepare_benchmark, run_experiment,
                                   serialize_config, svg_bar_chart)
@@ -225,31 +226,29 @@ class TestRunExperiment:
         assert b1 == b2
         assert r1.config_hash == r2.config_hash
 
+    def test_config_resolved_reruns_the_runs_own_seed(self, tmp_path):
+        cfg = fast_cfg(seeds=(1, 2, 3, 4, 5), out_dir=str(tmp_path))
+        run_experiment(cfg, seed=3, run_dir=tmp_path / "a")
+        resolved = parse_config(tmp_path / "a" / "config.resolved")
+        assert resolved.seeds == (3,)
+        run_experiment(resolved, run_dir=tmp_path / "b")
+        # at this size every seed's report is at chance; the trace is not
+        for name in ("report.csv", "trace.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                   (tmp_path / "b" / name).read_bytes(), name
+
     def test_store_corruption_after_training_changes_nothing(self, tmp_path):
         """Inference is store-free: corrupting every stored vector after
         training must not change a single evaluated metric."""
-        from lingualchemy.cli import _rebuild_model
-        from lingualchemy.harness import _evaluate
-        from lingualchemy.synthlang import Vocab
-
         cfg = fast_cfg(n_langs=12, n_families=4, out_dir=str(tmp_path))
-        bench = prepare_benchmark(cfg)
-        run_experiment(cfg, seed=1, run_dir=tmp_path / "run", benchmark=bench)
-        vocab = Vocab.load(tmp_path / "run" / "vocab.tsv")
-        model = _rebuild_model(replace(cfg, seeds=(1,)), vocab,
-                               bench.store.vector_dim(cfg.feature_sets),
-                               tmp_path / "run" / "checkpoint.lalc")
-        corpus = bench.corpus.with_vocab(vocab)
-        langs = list(bench.seen) + list(bench.unseen)
-        before = [_evaluate(model, corpus.for_langs([l]).subset("test"), cfg)
-                  for l in langs]
+        run_experiment(cfg, seed=1, run_dir=tmp_path / "run")
+        cfg, bench, model = load_run(tmp_path / "run")
+        before = evaluate_languages(model, bench, cfg)
         for table in bench.store.tables.values():
             for values, _ in table.values():
                 values.flags.writeable = True
                 values[:] = 999.0
-        after = [_evaluate(model, corpus.for_langs([l]).subset("test"), cfg)
-                 for l in langs]
-        assert before == after
+        assert evaluate_languages(model, bench, cfg) == before
 
     def test_regression_task_reports_pearson(self):
         cfg = fast_cfg(task="relatedness", n_langs=6, n_families=3, epochs=1)
@@ -414,7 +413,7 @@ class TestExportReport:
             metric_name="accuracy",
             rows=(("syn00", "seen", 0.75), ("syn01", "unseen", 0.5)),
             aggregates={"seen_mean": 0.75, "unseen_mean": 0.5},
-            trace=[[0, 1, "0.4", "0.1", "1.0", "10.0", "", "1.4"]],
+            trace=[[0, 1, 0.4, 0.1, 1.0, 10.0, None, 1.4]],
             config_hash="cafe", seed=1, wall_time=1.0)
 
     def test_re_export_byte_identical(self, tmp_path):
@@ -432,6 +431,11 @@ class TestExportReport:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + len(report.rows)
         assert rows[0] == ["lang", "split", "metric", "value"]
+
+    def test_write_csv_numpy_float_is_plain_number(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, ["a", "b"], [[np.float64(0.1), None]])
+        assert path.read_bytes() == b"a,b\r\n0.1,\r\n"
 
     def test_svg_is_well_formed_xml(self, tmp_path):
         report = self.make_report()
