@@ -8,6 +8,9 @@ Gradients accumulate into ``.grad`` until explicitly zeroed; each call to
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 import struct
 from contextlib import contextmanager
 
@@ -158,15 +161,38 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximated GELU."""
+    """tanh-approximated GELU.
+
+    ``t = tanh(c*(x + 0.044715*x^2*x))``, ``out = 0.5*x*(1 + t)``. Forward and
+    gradient are computed in place in that operation order, into arrays of
+    their own: ``x``, the saved ``x^2`` and ``t`` and the upstream gradient
+    are never written.
+    """
     xd = x.data
-    sq = xd * xd
-    t = np.tanh(_GELU_C * (xd + 0.044715 * sq * xd))
-    out = 0.5 * xd * (1.0 + t)
+    sq = np.multiply(xd, xd, out=np.empty_like(xd))  # out= keeps 0-d results arrays
+    t = np.multiply(sq, 0.044715, out=np.empty_like(xd))
+    t *= xd
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.add(t, 1.0, out=np.empty_like(xd))
+    out *= 0.5 * xd
 
     def vjp(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * sq)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+        # g * (0.5*(1 + t) + 0.5*x*(1 - t*t)*du), du = c*(1 + 3*0.044715*x^2)
+        b = np.multiply(t, t, out=np.empty_like(t))
+        np.subtract(1.0, b, out=b)
+        h = np.multiply(xd, 0.5, out=np.empty_like(xd))
+        b *= h
+        np.multiply(sq, 3 * 0.044715, out=h)
+        h += 1.0
+        h *= _GELU_C
+        b *= h
+        np.add(t, 1.0, out=h)
+        h *= 0.5
+        h += b
+        h *= g
+        return (h,)
 
     return _make(out, (x,), vjp)
 
@@ -238,23 +264,42 @@ def embedding(tok: Tensor, pos: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc ** 2).mean(axis=-1, keepdims=True)
+    """Normalize the last axis to zero mean / unit variance, then scale-shift.
+
+    Forward and gradient are computed in place, into arrays of their own, in
+    the operation order of the plain formulas (a mean is ``np.add.reduce``
+    then ``/= d``, exactly as ``np.mean`` computes it); ``x``, ``gamma``, the
+    saved ``xhat`` and the upstream gradient are never written.
+    """
+    xd = x.data
+    d = xd.shape[-1]
+    mu = np.add.reduce(xd, axis=-1, keepdims=True)
+    mu /= d
+    xhat = xd - mu
+    out = xhat * xhat
+    var = np.add.reduce(out, axis=-1, keepdims=True)
+    var /= d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gamma.data * xhat + beta.data
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
+        dxhat = g * xhat
+        dgamma = dxhat.sum(axis=lead)
         dbeta = g.sum(axis=lead)
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgamma, dbeta
+        np.multiply(g, gamma.data, out=dxhat)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+        m1 /= d
+        tmp = dxhat * xhat
+        m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
+        m2 /= d
+        dxhat -= m1
+        np.multiply(xhat, m2, out=tmp)
+        dxhat -= tmp
+        dxhat *= inv
+        return dxhat, dgamma, dbeta
 
     return _make(out, (x, gamma, beta), vjp)
 
@@ -374,42 +419,113 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class AdamW:
-    """AdamW with decoupled weight decay and bias-corrected moments."""
+    """AdamW with decoupled weight decay and bias-corrected moments.
+
+    The parameters' values live in one contiguous float64 buffer: each
+    ``p.data`` becomes a view into it, the decayed parameters first and the
+    ``no_decay`` ones as a trailing segment (``params`` keeps that order). The
+    gradients, both moments and one scratch buffer are flat as well, so a step
+    is one in-place pass over the buffers, in the order of the per-parameter
+    update ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, then ``p -= (lr*wd)*p``.
+    """
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=0.01, no_decay=()):
-        self.params = list(params)
+        params = list(params)
+        self._no_decay = {id(p) for p in no_decay}
+        if not self._no_decay <= {id(p) for p in params}:
+            raise ValueError("AdamW: a no_decay tensor is not among the parameters")
+        self.params = ([p for p in params if id(p) not in self._no_decay]
+                       + [p for p in params if id(p) in self._no_decay])
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._no_decay = {id(p) for p in no_decay}
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._flat = np.concatenate([np.ravel(p.data) for p in self.params],
+                                    dtype=np.float64)
+        self._n_decay = sum(p.data.size for p in self.params
+                            if id(p) not in self._no_decay)
+        offset = 0
+        for p in self.params:
+            n = p.data.size
+            p.data = self._flat[offset:offset + n].reshape(p.data.shape)
+            offset += n
+        self._views = [p.data for p in self.params]
+        self._grad = np.empty_like(self._flat)
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
+        self._scratch = np.empty_like(self._flat)
+        _keep_heap_mapped()
 
     def step(self):
-        for p in self.params:
+        for p, view in zip(self.params, self._views):
             if p.grad is None:
                 raise RuntimeError("AdamW.step: parameter has no gradient; "
                                    "run backward() first")
+            if p.data is not view:
+                raise RuntimeError("AdamW.step: a parameter's .data was replaced "
+                                   "after the optimizer was built, so it would "
+                                   "no longer be trained")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay and id(p) not in self._no_decay:
-                p.data = p.data - self.lr * self.weight_decay * p.data
+        g, m, v, s, flat = self._grad, self._m, self._v, self._scratch, self._flat
+        np.concatenate([np.ravel(p.grad) for p in self.params], out=g)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=s)
+        s *= g
+        v += s
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, bc1, out=g)
+        g *= self.lr
+        g /= s
+        flat -= g
+        if self.weight_decay:
+            decayed, s = flat[:self._n_decay], s[:self._n_decay]
+            np.multiply(decayed, self.lr * self.weight_decay, out=s)
+            decayed -= s
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_KEEP_BYTES = 32 << 20
+
+
+@functools.cache
+def _keep_heap_mapped() -> None:
+    """Let glibc keep freed memory mapped, once per process.
+
+    A training step frees megabytes of temporaries and allocates them again
+    in the next step. By default glibc serves the large ones with fresh
+    ``mmap`` calls and hands the freed top of the heap back to the kernel, so
+    every step faults the same pages in again (about 90 minor faults per
+    default step, ``resource.getrusage(...).ru_minflt``). A fixed mmap
+    threshold and trim threshold keep those pages in the heap for reuse.
+    Other C libraries are left as they are.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_KEEP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP_BYTES)
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,26 @@ def make_token_batch(examples: list[Example], vocab: Vocab,
                       langs=tuple(e.lang for e in examples), labels=labels)
 
 
+def cached_batches(examples: list[Example], vocab: Vocab, max_seq_len: int,
+                   task: str):
+    """``batches_fn`` for ``train_loop``: ``examples`` are tokenized and
+    padded once, and each call slices out the rows of its indices, cut to
+    the width of their longest row. The result equals
+    ``make_token_batch([examples[i] for i in indices], ...)``.
+    """
+    padded = make_token_batch(examples, vocab, max_seq_len, task)
+    widths = np.array([min(1 + len(e.tokens), max_seq_len) for e in examples])
+
+    def batch(indices):
+        width = widths[indices].max()
+        return TokenBatch(ids=padded.ids[indices, :width],
+                          attention_mask=padded.attention_mask[indices, :width],
+                          langs=tuple(padded.langs[i] for i in indices),
+                          labels=padded.labels[indices])
+
+    return batch
+
+
 def _encoder_config(cfg: ExperimentConfig, vocab_size: int, seed: int) -> EncoderConfig:
     return EncoderConfig(vocab_size=vocab_size, d_model=cfg.d_model,
                          n_heads=cfg.n_heads, n_layers=cfg.n_layers,
@@ -434,11 +454,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     scaling = _make_scaling(cfg)
 
     train_examples = train_corpus.examples
-
-    def batches_fn(indices):
-        return make_token_batch([train_examples[i] for i in indices],
-                                bench.corpus.vocab, cfg.max_seq_len, cfg.task)
-
+    batches_fn = cached_batches(train_examples, bench.corpus.vocab,
+                                cfg.max_seq_len, cfg.task)
     model, trace_rows = train_loop(
         model, batches_fn, len(train_examples), bench.store, cfg.feature_sets,
         scaling, epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,

@@ -11,7 +11,7 @@ keep fixed-width vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -117,6 +117,8 @@ class UrielStore:
 
     tables: dict[FeatureSet, dict[str, tuple[np.ndarray, np.ndarray]]]
     dims: dict[FeatureSet, int]
+    # feature-set tuple -> {lang: vector}, filled by target_matrix
+    _targets: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_raw_tables(
@@ -209,10 +211,17 @@ class UrielStore:
         return sum(self.dims[fs] for fs in sets)
 
     def target_matrix(self, langs: Sequence[str], sets: Sequence[FeatureSet]) -> np.ndarray:
-        """Stack per-language vectors for a batch; rows repeat with languages."""
-        vectors = {lang: self.get_vector(lang, sets).values
-                   for lang in dict.fromkeys(langs)}
-        return np.stack([vectors[lang] for lang in langs])
+        """Stack per-language vectors for a batch; rows repeat with languages.
+
+        Each language's vector under one feature-set choice is concatenated
+        once per store, since its tables do not change; later batches only
+        gather the rows.
+        """
+        rows = self._targets.setdefault(tuple(sets), {})
+        for lang in dict.fromkeys(langs):
+            if lang not in rows:
+                rows[lang] = self.get_vector(lang, sets).values
+        return np.stack([rows[lang] for lang in langs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UrielStore):

@@ -371,10 +371,13 @@ class TestCriterion10Determinism:
                                d_model=16, max_seq_len=16)
         run_experiment(replace(cfg, out_dir=str(tmp_path / "a")), seed=3)
         run_experiment(replace(cfg, out_dir=str(tmp_path / "b")), seed=3)
-        b1 = (tmp_path / "a" / "run_seed3" / "report.csv").read_bytes()
-        b2 = (tmp_path / "b" / "run_seed3" / "report.csv").read_bytes()
+        # at this size report.csv is at chance for every seed, so it alone
+        # cannot tell a rerun from another training run; trace.csv can
+        same = all((tmp_path / "a" / "run_seed3" / name).read_bytes()
+                   == (tmp_path / "b" / "run_seed3" / name).read_bytes()
+                   for name in ("report.csv", "trace.csv"))
         report("criterion 10: identical config+seed give byte-identical "
-               "report.csv", b1 == b2)
+               "report.csv", same)
 
 
 class TestCriterion11UnkRates:

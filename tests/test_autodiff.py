@@ -377,6 +377,130 @@ class TestAdamW:
         assert opt.step_count == 2
 
 
+class TestFlatAdamW:
+    """The flat, fused AdamW against today's per-parameter loop."""
+
+    @staticmethod
+    def reference_steps(values, grads_per_step, decayed, lr, betas, eps,
+                        weight_decay):
+        """The per-parameter update, one parameter at a time."""
+        beta1, beta2 = betas
+        values = [np.array(x, dtype=np.float64) for x in values]
+        m = [np.zeros_like(v) for v in values]
+        v = [np.zeros_like(x) for x in values]
+        for t, grads in enumerate(grads_per_step, start=1):
+            bc1 = 1.0 - beta1 ** t
+            bc2 = 1.0 - beta2 ** t
+            for i, g in enumerate(grads):
+                m[i] = beta1 * m[i] + (1.0 - beta1) * g
+                v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+                m_hat = m[i] / bc1
+                v_hat = v[i] / bc2
+                values[i] = values[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                if weight_decay and decayed[i]:
+                    values[i] = values[i] - lr * weight_decay * values[i]
+        return values
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_bit_identical_to_per_parameter_loop(self, rng, weight_decay):
+        shapes = [(3, 4), (), (5,), (), (2, 3, 2)]
+        values = [rng.normal(size=s) for s in shapes]
+        params = [Tensor(v.copy(), requires_grad=True) for v in values]
+        raw = params[3]   # a 0-d no_decay scalar amid decayed parameters
+        decayed = [p is not raw for p in params]
+        opt = AdamW(params, lr=0.01, betas=(0.9, 0.999), eps=1e-8,
+                    weight_decay=weight_decay, no_decay=[raw])
+        grads_per_step = [[rng.normal(size=s) for s in shapes]
+                          for _ in range(50)]
+        for grads in grads_per_step:
+            for p, g in zip(params, grads):
+                p.grad = np.asarray(g)
+            opt.step()
+            opt.zero_grad()
+        want = self.reference_steps(values, grads_per_step, decayed, lr=0.01,
+                                    betas=(0.9, 0.999), eps=1e-8,
+                                    weight_decay=weight_decay)
+        for p, w in zip(params, want):
+            assert p.data.shape == w.shape
+            np.testing.assert_array_equal(p.data, w)
+
+    def test_replaced_data_raises(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        opt = AdamW([w], lr=0.1)
+        w.data = np.array([3.0, 4.0])
+        w.grad = np.ones(2)
+        with pytest.raises(RuntimeError, match="replaced"):
+            opt.step()
+
+    def test_no_decay_outside_parameters_raises(self):
+        w = Tensor(1.0, requires_grad=True)
+        stray = Tensor(2.0, requires_grad=True)
+        with pytest.raises(ValueError, match="no_decay"):
+            AdamW([w], lr=0.1, no_decay=[stray])
+
+
+class TestInPlaceOps:
+    """layer_norm and gelu compute in place: same bits as the plain
+    formulas, and no input, saved array or upstream gradient is written."""
+
+    @staticmethod
+    def layer_norm_reference(x, gamma, beta, g, eps=1e-5):
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        var = (xc ** 2).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = xc * inv
+        out = gamma * xhat + beta
+        lead = tuple(range(g.ndim - 1))
+        dgamma = (g * xhat).sum(axis=lead)
+        dbeta = g.sum(axis=lead)
+        dxhat = g * gamma
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dx = inv * (dxhat - m1 - xhat * m2)
+        return out, (dx, dgamma, dbeta)
+
+    @staticmethod
+    def gelu_reference(x, g):
+        sq = x * x
+        t = np.tanh(ad._GELU_C * (x + 0.044715 * sq * x))
+        out = 0.5 * x * (1.0 + t)
+        du = ad._GELU_C * (1.0 + 3 * 0.044715 * sq)
+        return out, (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+
+    @staticmethod
+    def check(op, inputs, g, want_out, want_grads):
+        before = [t.data.copy() for t in inputs] + [g.copy()]
+        out = op()
+        np.testing.assert_array_equal(out.data, want_out)
+        # twice: a second backward pass must find the saved arrays intact
+        for _ in range(2):
+            grads = out._vjp(g)
+            assert len(grads) == len(want_grads)
+            for got, want in zip(grads, want_grads):
+                np.testing.assert_array_equal(got, want)
+        for arr, copy in zip([t.data for t in inputs] + [g], before):
+            np.testing.assert_array_equal(arr, copy)
+
+    @pytest.mark.parametrize("shape", [(4, 5, 8), (3, 6)])
+    def test_layer_norm(self, rng, shape):
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        gamma = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        beta = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        g = rng.normal(size=shape)
+        want_out, want_grads = self.layer_norm_reference(x.data, gamma.data,
+                                                         beta.data, g)
+        self.check(lambda: ad.layer_norm(x, gamma, beta), [x, gamma, beta], g,
+                   want_out, want_grads)
+
+    @pytest.mark.parametrize("shape", [(4, 5, 8), ()])
+    def test_gelu(self, rng, shape):
+        x = Tensor(rng.normal(size=shape) * 3.0, requires_grad=True)
+        g = np.asarray(rng.normal(size=shape))
+        want_out, want_grads = self.gelu_reference(x.data, g)
+        self.check(lambda: ad.gelu(x), [x], g, want_out, want_grads)
+
+
 class TestGradProperty:
     """Finite differences agree with backward on random instances of every op."""
 

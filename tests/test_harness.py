@@ -1,4 +1,6 @@
 import csv
+import os
+import resource
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 
@@ -8,7 +10,8 @@ import pytest
 from lingualchemy.alchemy import predict_logits
 from lingualchemy.errors import ConfigError, DataError, NumericError, write_csv
 from lingualchemy.harness import (ExperimentConfig, MetricsReport, SweepRow,
-                                  accuracy, build_model, config_hash,
+                                  accuracy, build_model, cached_batches,
+                                  config_hash,
                                   evaluate_languages, export_report,
                                   export_sweep, family_split_experiment,
                                   feature_combo_label, load_run,
@@ -224,6 +227,10 @@ class TestRunExperiment:
         b1 = (tmp_path / "a" / "run_seed2" / "report.csv").read_bytes()
         b2 = (tmp_path / "b" / "run_seed2" / "report.csv").read_bytes()
         assert b1 == b2
+        # the report of this small config sits at chance whatever the seed;
+        # the trace is what tells a rerun from a different training run
+        assert (tmp_path / "a" / "run_seed2" / "trace.csv").read_bytes() == \
+               (tmp_path / "b" / "run_seed2" / "trace.csv").read_bytes()
         assert r1.config_hash == r2.config_hash
 
     def test_config_resolved_reruns_the_runs_own_seed(self, tmp_path):
@@ -405,6 +412,68 @@ class TestGraphSize:
         total, _ = combine_losses(l_cls, l_uriel, ConstantScaling(cfg.factor))
         op_nodes = [n for n in ad._topo_order(total) if n._parents]
         assert len(op_nodes) <= 36
+
+
+class TestCachedBatches:
+    @pytest.mark.parametrize("task", ["classification", "relatedness"])
+    def test_equal_to_make_token_batch(self, task):
+        cfg = fast_cfg(n_langs=12, n_families=4, task=task, max_seq_len=8)
+        bench = prepare_benchmark(cfg)
+        # every split and language, so rows are cut at max_seq_len and
+        # unseen-language rows hold <unk>
+        examples = bench.corpus.examples
+        batches = cached_batches(examples, bench.corpus.vocab,
+                                 cfg.max_seq_len, cfg.task)
+        rng = np.random.default_rng(0)
+        for size in (1, 2, 7, 16, 33):
+            idx = rng.choice(len(examples), size=size, replace=False)
+            got = batches(idx)
+            want = make_token_batch([examples[i] for i in idx],
+                                    bench.corpus.vocab, cfg.max_seq_len,
+                                    cfg.task)
+            for name in ("ids", "attention_mask", "labels"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+            assert got.langs == want.langs
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError):
+        return False
+
+
+class TestHeapStaysMapped:
+    @pytest.mark.skipif(not _glibc(), reason="the heap setting is glibc's")
+    def test_steady_state_step_faults_few_pages(self):
+        """A default training step reuses the heap pages of the last one:
+        with freed memory handed back to the kernel each step faulted ~90
+        pages in again."""
+        from lingualchemy.alchemy import (ConstantScaling, make_optimizer,
+                                          train_step)
+
+        cfg = ExperimentConfig()
+        bench = prepare_benchmark(cfg)
+        examples = bench.corpus.for_langs(bench.seen).subset("train").examples
+        model = build_model(cfg, len(bench.corpus.vocab),
+                            bench.store.vector_dim(cfg.feature_sets), seed=1)
+        scaling = ConstantScaling(cfg.factor)
+        opt = make_optimizer(model, scaling, lr=cfg.lr,
+                             weight_decay=cfg.weight_decay)
+        batches = cached_batches(examples, bench.corpus.vocab,
+                                 cfg.max_seq_len, cfg.task)
+        rng = np.random.default_rng(0)
+        warmup, measured = 20, 80
+        for step in range(warmup + measured):
+            if step == warmup:
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            idx = rng.choice(len(examples), size=cfg.batch_size, replace=False)
+            train_step(model, batches(idx), bench.store, cfg.feature_sets,
+                       scaling, opt)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / measured < 5, f"{faults / measured:.1f} faults per step"
 
 
 class TestExportReport:
