@@ -44,7 +44,7 @@ batches = [batches_fn(range(i, min(i + 64, len(train))))
 data = collect_sentence_reps(model, batches, store, ALL_FEATURE_SETS)
 
 closed = fit_alignment(data, ClosedForm())
-descended = fit_alignment(data, GradientDescent(iters=6000))
+descended = fit_alignment(data, GradientDescent())
 print(f"closed form:      R^2 {closed.r_squared:.4f}, "
       f"residual {closed.residual_mse:.5f}")
 print(f"gradient descent: R^2 {descended.r_squared:.4f}, "

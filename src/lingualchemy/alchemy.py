@@ -62,23 +62,20 @@ class ConstantScaling:
         return []
 
 
+ALCHEMY_SCALE_DECAY = 0.9     # AlchemyScale's EMA decay of the losses
+ALCHEMY_SCALE_PERIOD = 100    # steps between recomputations of its weights
+
+
 @dataclass
 class AlchemyScale:
-    """EMA-rebalanced weighting, lazily initialized from the first losses."""
+    """EMA-rebalanced weighting, lazily initialized from the first losses;
+    every field is running state."""
 
-    decay: float = 0.9
-    update_period: int = 100
-    ema_cls: float | None = None
-    ema_uriel: float | None = None
-    lambda_cls: float = 1.0
-    lambda_uriel: float = 1.0
-    step: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must be in (0, 1)")
-        if self.update_period < 1:
-            raise ValueError("update_period must be >= 1")
+    ema_cls: float | None = field(default=None, init=False)
+    ema_uriel: float | None = field(default=None, init=False)
+    lambda_cls: float = field(default=1.0, init=False)
+    lambda_uriel: float = field(default=1.0, init=False)
+    step: int = field(default=0, init=False)
 
     def weights(self, l_cls: float, l_uriel: float):
         alchemy_scale_update(self, l_cls, l_uriel)
@@ -88,12 +85,17 @@ class AlchemyScale:
         return []
 
 
+def _raw_unit_lambda() -> Tensor:
+    # softplus(log(e - 1)) == 1, the neutral starting weight
+    return Tensor(np.log(np.e - 1.0), requires_grad=True)
+
+
 @dataclass
 class AlchemyTune:
     """Trainable weighting: lambda_i = softplus(raw_i), both starting at 1."""
 
-    raw_cls: Tensor = field(default_factory=lambda: _raw_unit_lambda())
-    raw_uriel: Tensor = field(default_factory=lambda: _raw_unit_lambda())
+    raw_cls: Tensor = field(default_factory=_raw_unit_lambda, init=False)
+    raw_uriel: Tensor = field(default_factory=_raw_unit_lambda, init=False)
 
     def weights(self, l_cls: float, l_uriel: float):
         lam_cls, lam_uriel = ad.softplus(self.raw_cls), ad.softplus(self.raw_uriel)
@@ -107,27 +109,23 @@ class AlchemyTune:
 ScalingState = ConstantScaling | AlchemyScale | AlchemyTune
 
 
-def _raw_unit_lambda() -> Tensor:
-    # softplus(log(e - 1)) == 1, the neutral starting weight
-    return Tensor(np.log(np.e - 1.0), requires_grad=True)
-
-
 def alchemy_scale_update(state: AlchemyScale, l_cls: float, l_uriel: float) -> AlchemyScale:
     """Feed one step's losses into the state.
 
     A fresh state is set up from the first losses it sees, without advancing
     ``step``: weights are set relative to their mean, so both scaled terms
     start equal (lambda_i = mean(l_0)/l_i_0). After that the losses are
-    EMA'd every step and the weights recomputed every update_period steps.
+    EMA'd every step with decay ``ALCHEMY_SCALE_DECAY``, and the weights
+    recomputed every ``ALCHEMY_SCALE_PERIOD`` steps.
     """
     if not isinstance(state, AlchemyScale):
         raise TypeError(f"expected AlchemyScale state, got {type(state).__name__}")
     if state.ema_cls is not None:
-        b = state.decay
+        b = ALCHEMY_SCALE_DECAY
         state.ema_cls = b * state.ema_cls + (1.0 - b) * l_cls
         state.ema_uriel = b * state.ema_uriel + (1.0 - b) * l_uriel
         state.step += 1
-        if state.step % state.update_period != 0:
+        if state.step % ALCHEMY_SCALE_PERIOD != 0:
             return state
     else:
         if l_cls <= 0 or l_uriel <= 0:

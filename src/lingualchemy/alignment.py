@@ -28,12 +28,13 @@ class ClosedForm:
     ridge: float = 1e-6
 
 
+# gradient descent's step size, iterations, gradient-norm clip and init seed
+GD_LR, GD_ITERS, GD_CLIP_NORM, GD_SEED = 1e-2, 2000, 1.0, 0
+
+
 @dataclass(frozen=True)
 class GradientDescent:
-    lr: float = 1e-2
-    iters: int = 2000
-    seed: int = 0
-    clip_norm: float = 1.0
+    """Full-batch gradient descent on the fixed ``GD_*`` schedule."""
 
 
 @dataclass
@@ -106,7 +107,7 @@ def fit_alignment(data: SentenceRepSet,
     if isinstance(method, ClosedForm):
         w, b = _fit_closed_form(x, y, method.ridge)
     elif isinstance(method, GradientDescent):
-        w, b = _fit_gradient_descent(x, y, method)
+        w, b = _fit_gradient_descent(x, y)
     else:
         raise TypeError(f"unknown method {method!r}")
     pred = x @ w.T + b
@@ -138,22 +139,22 @@ def _fit_closed_form(x: np.ndarray, y: np.ndarray, ridge: float):
     return w, b
 
 
-def _fit_gradient_descent(x: np.ndarray, y: np.ndarray, method: GradientDescent):
+def _fit_gradient_descent(x: np.ndarray, y: np.ndarray):
     n, d_rep = x.shape
     d_out = y.shape[1]
-    rng = np.random.default_rng(method.seed)
+    rng = np.random.default_rng(GD_SEED)
     w = rng.uniform(-0.01, 0.01, size=(d_out, d_rep))
     b = rng.uniform(-0.01, 0.01, size=d_out)
-    for _ in range(method.iters):
+    for _ in range(GD_ITERS):
         resid = x @ w.T + b - y            # (n, d_out)
         gw = 2.0 / n * resid.T @ x
         gb = 2.0 / n * resid.sum(axis=0)
         norm = np.sqrt((gw ** 2).sum() + (gb ** 2).sum())
-        if norm > method.clip_norm:
-            factor = method.clip_norm / norm
+        if norm > GD_CLIP_NORM:
+            factor = GD_CLIP_NORM / norm
             gw, gb = gw * factor, gb * factor
-        w = w - method.lr * gw
-        b = b - method.lr * gb
+        w = w - GD_LR * gw
+        b = b - GD_LR * gb
     return w, b
 
 

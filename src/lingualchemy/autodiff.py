@@ -34,12 +34,12 @@ def no_grad():
 
 
 class Tensor:
-    """Dense row-major array with an optional gradient buffer."""
+    """Dense row-major float64 array with an optional gradient buffer."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad=False, dtype=np.float64):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -48,10 +48,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data)
@@ -66,7 +62,7 @@ class Tensor:
 def _make(data, parents, vjp):
     """Wrap an op result, recording the backward rule if the graph is live."""
     track = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=track, dtype=data.dtype)
+    out = Tensor(data, requires_grad=track)
     if track:
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -121,40 +117,26 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / broadcast ops
+# elementwise ops
 # ---------------------------------------------------------------------------
 
-def _check_binary_shapes(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape and a.data.shape != () and b.data.shape != ():
+def _binary_operand(a: Tensor, b, op: str) -> Tensor:
+    """``b`` as a tensor of ``a``'s shape; a Python float becomes a 0-d one."""
+    if not isinstance(b, Tensor):
+        b = Tensor(b)
+    if a.data.shape != b.data.shape:
         raise ValueError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient down to a (scalar-broadcast) operand's shape."""
-    if g.shape == tuple(shape):
-        return g
-    return np.sum(g).reshape(shape).astype(g.dtype)
-
-
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return b
 
 
 def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    _check_binary_shapes(a, b, "add")
-    return _make(a.data + b.data, (a, b),
-                 lambda g: (_reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)))
+    b = _binary_operand(a, b, "add")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    _check_binary_shapes(a, b, "mul")
-    return _make(a.data * b.data, (a, b),
-                 lambda g: (_reduce_to(g * b.data, a.data.shape),
-                            _reduce_to(g * a.data, b.data.shape)))
+    b = _binary_operand(a, b, "mul")
+    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -263,8 +245,12 @@ def embedding(tok: Tensor, pos: Tensor, ids: np.ndarray) -> Tensor:
     return _make(tok.data[ids] + pos.data[:t], (tok, pos), vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift.
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (``LAYER_NORM_EPS``
+    is added to the variance), then scale-shift.
 
     Forward and gradient are computed in place, into arrays of their own, in
     the operation order of the plain formulas (a mean is ``np.add.reduce``
@@ -279,7 +265,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = xhat * xhat
     var = np.add.reduce(out, axis=-1, keepdims=True)
     var /= d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gamma.data, out=out)
     out += beta.data
@@ -418,6 +404,9 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 # optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamW:
     """AdamW with decoupled weight decay and bias-corrected moments.
 
@@ -427,11 +416,11 @@ class AdamW:
     gradients, both moments and one scratch buffer are flat as well, so a step
     is one in-place pass over the buffers, in the order of the per-parameter
     update ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
-    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, then ``p -= (lr*wd)*p``.
+    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, then ``p -= (lr*wd)*p``, where
+    b1, b2 and eps are ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
     """
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.01, no_decay=()):
+    def __init__(self, params, lr=1e-3, weight_decay=0.01, no_decay=()):
         params = list(params)
         self._no_decay = {id(p) for p in no_decay}
         if not self._no_decay <= {id(p) for p in params}:
@@ -439,8 +428,6 @@ class AdamW:
         self.params = ([p for p in params if id(p) not in self._no_decay]
                        + [p for p in params if id(p) in self._no_decay])
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._flat = np.concatenate([np.ravel(p.data) for p in self.params],
@@ -470,20 +457,20 @@ class AdamW:
                                    "no longer be trained")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         g, m, v, s, flat = self._grad, self._m, self._v, self._scratch, self._flat
         np.concatenate([np.ravel(p.grad) for p in self.params], out=g)
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=s)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
         m += s
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=s)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
         s *= g
         v += s
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
-        s += self.eps
+        s += ADAM_EPS
         np.divide(m, bc1, out=g)
         g *= self.lr
         g /= s

@@ -14,7 +14,7 @@ import os
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +126,11 @@ class ExperimentConfig:
                            ("n_per_lang", 1), ("n_classes", 1)):
             if not getattr(self, key) >= bound:  # also rejects nan
                 raise ConfigError(f"{key} must be >= {bound}")
+        if self.task == "classification" and self.n_classes < 2:
+            raise ConfigError("n_classes must be >= 2 for the classification task")
+        if not self.corpus and self.n_langs < self.n_families:
+            raise ConfigError(f"n_langs must be >= n_families ({self.n_families}) "
+                              "to generate one language per family")
         try:
             _encoder_config(self, vocab_size=1, seed=0)
         except ValueError as exc:
@@ -306,7 +311,6 @@ class Benchmark:
     corpus: Corpus
     seen: tuple[str, ...]
     unseen: tuple[str, ...]
-    families: dict[str, int] = field(default_factory=dict)
 
 
 def _default_split(langs: list[str], n_families: int):
@@ -325,12 +329,15 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
         store = load_uriel_tsv({fs: Path(cfg.store_dir) / f"{fs.value}.tsv"
                                 for fs in cfg.feature_sets})
         examples = read_corpus_tsv(cfg.corpus, task=cfg.task, split_seed=cfg.gen_seed)
+        bad = [e for e in examples if cfg.task == "classification"
+               and not 0 <= e.label < cfg.n_classes]
+        if bad:
+            raise DataError(f"{cfg.corpus}: language {bad[0].lang} has class label "
+                            f"{bad[0].label}, outside 0..{cfg.n_classes - 1}")
         langs = sorted({e.lang for e in examples})
-        families = {}
     else:
         specs, store = generate_languages(cfg.n_langs, cfg.n_families, cfg.gen_seed)
         langs = [s.lang for s in specs]
-        families = {s.lang: s.family for s in specs}
     seen, unseen = cfg.seen, cfg.unseen
     if not seen:
         default_seen, default_unseen = _default_split(langs, cfg.n_families)
@@ -352,7 +359,7 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
         corpus = generate_corpus(specs, cfg.n_per_lang, cfg.n_classes,
                                  cfg.gen_seed, task=cfg.task, vocab_langs=seen)
     return Benchmark(store=store, corpus=corpus, seen=tuple(seen),
-                     unseen=tuple(unseen), families=families)
+                     unseen=tuple(unseen))
 
 
 def make_token_batch(examples: list[Example], vocab: Vocab,
@@ -705,21 +712,28 @@ def _svg_escape(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def svg_bar_chart(labels, values, groups, title="", width=640, height=320) -> str:
+SVG_WIDTH, SVG_HEIGHT = 640, 320   # pixel size of every chart
+
+
+def _svg_document(title: str, parts: list[str]) -> str:
+    """An SVG_WIDTH x SVG_HEIGHT document: the centred title, then ``parts``."""
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+            f'height="{SVG_HEIGHT}">',
+            f'<text x="{SVG_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+            f'font-size="13">{_svg_escape(title)}</text>']
+    return "\n".join(head + parts + ["</svg>"]) + "\n"
+
+
+def svg_bar_chart(labels, values, groups, title="") -> str:
     """Self-contained bar chart; blue bars for seen, orange for unseen."""
     pad, axis = 40, 30
-    plot_w, plot_h = width - 2 * pad, height - 2 * pad - axis
+    plot_w, plot_h = SVG_WIDTH - 2 * pad, SVG_HEIGHT - 2 * pad - axis
     vmax = max(max(values, default=0.0), 1e-9)
     n = max(len(values), 1)
     bar_w = plot_w / n * 0.8
     gap = plot_w / n * 0.2
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-size="13">{_svg_escape(title)}</text>',
-        f'<line x1="{pad}" y1="{pad + plot_h}" x2="{pad + plot_w}" '
-        f'y2="{pad + plot_h}" stroke="black"/>',
-    ]
+    parts = [f'<line x1="{pad}" y1="{pad + plot_h}" x2="{pad + plot_w}" '
+             f'y2="{pad + plot_h}" stroke="black"/>']
     for i, (label, value, group) in enumerate(zip(labels, values, groups)):
         h = plot_h * max(0.0, value) / vmax
         x = pad + i * (bar_w + gap)
@@ -731,11 +745,10 @@ def svg_bar_chart(labels, values, groups, title="", width=640, height=320) -> st
                      f'text-anchor="middle" font-size="8">{_svg_escape(label)}</text>')
         parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{y - 3:.2f}" '
                      f'text-anchor="middle" font-size="8">{value:.3f}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(title, parts)
 
 
-def svg_line_chart(points: dict[str, float], title="", width=640, height=320) -> str:
+def svg_line_chart(points: dict[str, float], title="") -> str:
     """Self-contained line chart over ordered (label, value) pairs."""
     pad = 50
     labels = list(points)
@@ -743,27 +756,22 @@ def svg_line_chart(points: dict[str, float], title="", width=640, height=320) ->
     vmax = max(max(values, default=0.0), 1e-9)
     vmin = min(min(values, default=0.0), 0.0)
     span = max(vmax - vmin, 1e-9)
-    plot_w, plot_h = width - 2 * pad, height - 2 * pad
+    plot_w, plot_h = SVG_WIDTH - 2 * pad, SVG_HEIGHT - 2 * pad
     n = max(len(values) - 1, 1)
     coords = []
     for i, v in enumerate(values):
         x = pad + plot_w * i / n
         y = pad + plot_h * (1.0 - (v - vmin) / span)
         coords.append((x, y))
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-size="13">{_svg_escape(title)}</text>',
-    ]
+    parts = []
     if len(coords) > 1:
         path = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
         parts.append(f'<polyline points="{path}" fill="none" stroke="#4477aa" '
                      'stroke-width="2"/>')
     for (x, y), label, v in zip(coords, labels, values):
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#ee7733"/>')
-        parts.append(f'<text x="{x:.2f}" y="{height - pad + 16:.2f}" '
+        parts.append(f'<text x="{x:.2f}" y="{SVG_HEIGHT - pad + 16:.2f}" '
                      f'text-anchor="middle" font-size="9">{_svg_escape(label)}</text>')
         parts.append(f'<text x="{x:.2f}" y="{y - 6:.2f}" text-anchor="middle" '
                      f'font-size="8">{v:.3f}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(title, parts)

@@ -311,12 +311,17 @@ def _unseen_mean(cfg, seed):
                           persist=False).aggregates["unseen_mean"]
 
 
-def _run_many(cfg, seeds, width=2):
+def _run_jobs(jobs, width=2):
+    """Unseen means of the ``(cfg, seed)`` jobs, on one pool of ``width``."""
     from concurrent.futures import ProcessPoolExecutor
-    if width <= 1 or len(seeds) == 1:
-        return [_unseen_mean(cfg, s) for s in seeds]
+    if width <= 1 or len(jobs) == 1:
+        return [_unseen_mean(cfg, s) for cfg, s in jobs]
     with ProcessPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(_unseen_mean, [cfg] * len(seeds), seeds))
+        return list(pool.map(_unseen_mean, *zip(*jobs)))
+
+
+def _run_many(cfg, seeds, width=2):
+    return _run_jobs([(cfg, s) for s in seeds], width)
 
 
 @pytest.fixture(scope="module")
@@ -347,13 +352,17 @@ class TestCriterion9SweepShape:
     def test_sweep_direction_and_dynamic_modes(self, paired_runs):
         zero, ten, _ = paired_runs
         wins = sum(1 for s in BENCH.seeds if ten[s] >= zero[s])
-        scale_vals = _run_many(replace(BENCH, scaling="alchemy_scale"),
-                               BENCH.seeds)
+        # the 20 runs share one pool: 10 rounds on 2 workers, not 4 x 3
+        factors = (25.0, 50.0, 100.0)
+        configs = ([replace(BENCH, scaling="alchemy_scale")]
+                   + [replace(BENCH, factor=f) for f in factors])
+        values = _run_jobs([(cfg, s) for cfg in configs for s in BENCH.seeds])
+        n = len(BENCH.seeds)
+        scale_vals = values[:n]
         constants = {0.0: float(np.mean(list(zero.values()))),
                      10.0: float(np.mean(list(ten.values())))}
-        for factor in (25.0, 50.0, 100.0):
-            constants[factor] = float(np.mean(
-                _run_many(replace(BENCH, factor=factor), BENCH.seeds)))
+        for i, factor in enumerate(factors, start=1):
+            constants[factor] = float(np.mean(values[i * n:(i + 1) * n]))
         best_constant = max(constants.values())
         scale_mean = float(np.mean(scale_vals))
         gap = abs(scale_mean - best_constant)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lingualchemy import autodiff as ad
-from lingualchemy.alchemy import (AlchemyScale, AlchemyTune, ConstantScaling,
+from lingualchemy.alchemy import (ALCHEMY_SCALE_PERIOD, AlchemyScale,
+                                  AlchemyTune, ConstantScaling,
                                   alchemy_scale_update, combine_losses,
                                   init_alchemy_model, make_optimizer,
                                   project_to_uriel, train_loop, train_step,
@@ -195,12 +196,12 @@ class TestAlchemyScale:
         assert state.lambda_uriel == pytest.approx(lam0[1], rel=1e-9)
 
     def test_balance_identity_at_recompute(self):
-        state = alchemy_scale_update(AlchemyScale(update_period=10), 1.0, 0.25)
+        state = alchemy_scale_update(AlchemyScale(), 1.0, 0.25)
         rng = np.random.default_rng(3)
-        for step in range(1, 101):
+        for step in range(1, 10 * ALCHEMY_SCALE_PERIOD + 1):
             alchemy_scale_update(state, float(rng.uniform(0.1, 2)),
                                  float(rng.uniform(0.1, 2)))
-            if step % 10 == 0:
+            if step % ALCHEMY_SCALE_PERIOD == 0:
                 assert state.lambda_cls * state.ema_cls == pytest.approx(
                     state.lambda_uriel * state.ema_uriel, abs=1e-9)
 

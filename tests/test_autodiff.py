@@ -77,10 +77,6 @@ class TestElementwise:
         with pytest.raises(ValueError, match="incompatible"):
             ad.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
-    def test_scalar_broadcast(self):
-        got = ad.mul(Tensor([2.0, 3.0]), Tensor(2.0))
-        assert got.data.tolist() == [4.0, 6.0]
-
     @pytest.mark.parametrize("op", [ad.add, ad.mul])
     def test_binary_gradients(self, op, rng):
         a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
@@ -103,10 +99,11 @@ class TestLayerNorm:
         np.testing.assert_allclose(got.data, 0.0, atol=1e-9)
 
     def test_two_point_row(self):
-        # mean 2, population sd 1 -> normalized to (-1, 1) as eps -> 0
+        # mean 2, population variance 1 -> (x - 2) / sqrt(1 + eps), eps = 1e-5
         x = Tensor([[1.0, 3.0]])
-        got = ad.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
-        np.testing.assert_allclose(got.data, [[-1.0, 1.0]], atol=1e-6)
+        got = ad.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        r = 1.0 / np.sqrt(1.0 + 1e-5)
+        np.testing.assert_allclose(got.data, [[-r, r]], atol=1e-6)
 
     def test_gradient(self, rng):
         x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
@@ -381,10 +378,9 @@ class TestFlatAdamW:
     """The flat, fused AdamW against today's per-parameter loop."""
 
     @staticmethod
-    def reference_steps(values, grads_per_step, decayed, lr, betas, eps,
-                        weight_decay):
+    def reference_steps(values, grads_per_step, decayed, lr, weight_decay):
         """The per-parameter update, one parameter at a time."""
-        beta1, beta2 = betas
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
         values = [np.array(x, dtype=np.float64) for x in values]
         m = [np.zeros_like(v) for v in values]
         v = [np.zeros_like(x) for x in values]
@@ -408,8 +404,7 @@ class TestFlatAdamW:
         params = [Tensor(v.copy(), requires_grad=True) for v in values]
         raw = params[3]   # a 0-d no_decay scalar amid decayed parameters
         decayed = [p is not raw for p in params]
-        opt = AdamW(params, lr=0.01, betas=(0.9, 0.999), eps=1e-8,
-                    weight_decay=weight_decay, no_decay=[raw])
+        opt = AdamW(params, lr=0.01, weight_decay=weight_decay, no_decay=[raw])
         grads_per_step = [[rng.normal(size=s) for s in shapes]
                           for _ in range(50)]
         for grads in grads_per_step:
@@ -418,7 +413,6 @@ class TestFlatAdamW:
             opt.step()
             opt.zero_grad()
         want = self.reference_steps(values, grads_per_step, decayed, lr=0.01,
-                                    betas=(0.9, 0.999), eps=1e-8,
                                     weight_decay=weight_decay)
         for p, w in zip(params, want):
             assert p.data.shape == w.shape
@@ -512,7 +506,8 @@ class TestGradProperty:
             b = Tensor(r.normal(size=(3, 4)), requires_grad=True)
             m = Tensor(r.normal(size=(4, 2)), requires_grad=True)
             c = Tensor(r.normal(size=2), requires_grad=True)
-            run_gradcheck(lambda: ad.mul(ad.add(a, b), ad.add(a, ad.mul(b, -1.0))),
+            minus = Tensor(np.full((3, 4), -1.0))
+            run_gradcheck(lambda: ad.mul(ad.add(a, b), ad.add(a, ad.mul(b, minus))),
                           [a, b], tol=1e-4)
             run_gradcheck(lambda: ad.linear(ad.gelu(a), m, c), [a, m, c], tol=1e-4)
 

@@ -88,10 +88,12 @@ class TestExitCodes:
         ("weight_decay = -3", ()), ("seeds = -1", ()), ("gen_seed = -1", ()),
         ("", ("--seed", "-1")), ("threads = -3", ()), ("", ("--threads", "-3")),
         ("factor = nan", ()), ("epochs = -1", ()), ("factor = inf", ()),
-        ("lr = inf", ()), ("weight_decay = inf", ())],
+        ("lr = inf", ()), ("weight_decay = inf", ()), ("n_classes = 1", ()),
+        ("n_langs = 2", ())],
         ids=["n_layers-1", "n_layers0", "lr", "weight_decay", "seeds",
              "gen_seed", "seed_flag", "threads", "threads_flag", "factor_nan",
-             "epochs", "factor_inf", "lr_inf", "weight_decay_inf"])
+             "epochs", "factor_inf", "lr_inf", "weight_decay_inf",
+             "n_classes1", "n_langs_below_families"])
     def test_out_of_range_value_is_2(self, tmp_path, capsys, line, argv):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n", encoding="utf-8")
@@ -101,6 +103,31 @@ class TestExitCodes:
     def test_data_error_is_3(self, tmp_path, cfg_file):
         missing = tmp_path / "nope.cfg"
         assert run_cli("--config", str(missing), "train") == 3
+
+    @pytest.mark.parametrize("label", ["7", "-1"])
+    def test_corpus_label_out_of_range_is_3(self, tmp_path, cfg_file, capsys,
+                                            monkeypatch, label):
+        import lingualchemy.harness as harness
+
+        gen = tmp_path / "gen"
+        assert run_cli("--config", str(cfg_file), "--out", str(gen), "gen") == 0
+        corpus = gen / "corpus.tsv"
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        for i in range(5):
+            lang, _, text = lines[i].split("\t")
+            lines[i] = f"{lang}\t{label}\t{text}"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        seen = (gen / "languages.txt").read_text(encoding="utf-8").split()[1]
+        user_cfg = tmp_path / "user.cfg"
+        user_cfg.write_text(FAST_CFG + f"store_dir = {gen / 'store'}\n"
+                            f"corpus = {corpus}\nseen = {seen}\n",
+                            encoding="utf-8")
+        monkeypatch.setattr(harness, "train_loop",
+                            lambda *args, **kwargs: pytest.fail("trained"))
+        capsys.readouterr()
+        assert run_cli("--config", str(user_cfg), "--out",
+                       str(tmp_path / "out"), "train") == 3
+        assert f"language {lang} has class label {label}" in capsys.readouterr().err
 
     def test_success_is_0(self, tmp_path, cfg_file):
         out = tmp_path / "out"

@@ -18,7 +18,7 @@ from lingualchemy.harness import (ExperimentConfig, MetricsReport, SweepRow,
                                   make_token_batch, parse_config, pearson,
                                   prepare_benchmark, run_experiment,
                                   serialize_config, svg_bar_chart)
-from lingualchemy.synthlang import UNK_ID, Example, Vocab
+from lingualchemy.synthlang import UNK_ID, Example, Vocab, generate_languages
 from lingualchemy.uriel import ALL_FEATURE_SETS, FeatureSet
 
 FAST = dict(n_langs=6, n_families=3, n_per_lang=40, n_classes=3,
@@ -145,9 +145,11 @@ class TestPrepareBenchmark:
         assert bench.unseen == ()
 
     def test_default_split_twelve_langs(self):
-        bench = prepare_benchmark(fast_cfg(n_langs=12, n_families=4))
+        cfg = fast_cfg(n_langs=12, n_families=4)
+        bench = prepare_benchmark(cfg)
         assert len(bench.seen) == 8 and len(bench.unseen) == 4
-        fams = {bench.families[l] for l in bench.unseen}
+        specs, _ = generate_languages(cfg.n_langs, cfg.n_families, cfg.gen_seed)
+        fams = {s.family for s in specs if s.lang in bench.unseen}
         assert fams == {0, 1, 2, 3}
 
     def test_unknown_language_rejected(self):
