@@ -1,7 +1,7 @@
 """Fitting the linear map from sentence representations to language vectors.
 
-Trains a small regularized model, mean-pools its hidden states over the
-corpus, fits the alignment map two ways (ridge closed form and full-batch
+Trains a small regularized model, collects its CLS representations over
+the corpus, fits the alignment map two ways (ridge closed form and full-batch
 gradient descent), and writes the 2-d projection CSV used for plotting.
 """
 
@@ -29,7 +29,7 @@ scaling = ConstantScaling(10.0)
 
 def batches_fn(indices):
     return make_token_batch([train[i] for i in indices], corpus.vocab,
-                            cfg.max_seq_len, "classification")
+                            cfg.max_seq_len)
 
 
 model, trace = train_loop(model, batches_fn, len(train), store,

@@ -29,7 +29,7 @@ for scaling in (ConstantScaling(10.0), AlchemyScale(), AlchemyTune()):
         order = np.random.default_rng([0, epoch]).permutation(len(train))
         for idx in iterate_batches(order, 32):
             batch = make_token_batch([train[i] for i in idx], corpus.vocab,
-                                     cfg.max_seq_len, "classification")
+                                     cfg.max_seq_len)
             bd = train_step(model, batch, store, ALL_FEATURE_SETS, scaling, opt)
             step += 1
             if step % 20 == 1:

@@ -14,12 +14,11 @@ from .alignment import (AlignmentFit, ClosedForm, GradientDescent,
                         SentenceRepSet, align_representations,
                         collect_sentence_reps, fit_alignment, r_squared)
 from .autodiff import AdamW, Tensor, backward, load_checkpoint, save_checkpoint
-from .encoder import (EncoderConfig, TokenBatch, encode_cls, encoder_forward,
-                      init_encoder_params, pool_cls, pool_mean_masked)
+from .encoder import EncoderConfig, TokenBatch, encode_cls, init_encoder_params
 from .errors import ConfigError, DataError, NumericError, UnknownLanguageError
 from .harness import (ExperimentConfig, MetricsReport, ablation_sweep,
                       accuracy, export_report, family_split_experiment,
-                      parse_config, pearson, run_experiment, scaling_sweep,
+                      parse_config, run_experiment, scaling_sweep,
                       serialize_config)
 from .synthlang import (Corpus, SynthLanguageSpec, Vocab, generate_corpus,
                         generate_languages, read_corpus_tsv, tokenize,

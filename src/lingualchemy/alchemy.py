@@ -188,7 +188,6 @@ class AlchemyModel:
     """Encoder plus task head plus the linguistic projection head."""
 
     cfg: EncoderConfig
-    task: str
     encoder: dict[str, Tensor]
     head_w: Tensor
     head_b: Tensor
@@ -205,23 +204,21 @@ class AlchemyModel:
         return [t for _, t in self.named_parameters()]
 
 
-def init_alchemy_model(cfg: EncoderConfig, n_outputs: int, d_uriel: int,
-                       task: str = "classification") -> AlchemyModel:
+def init_alchemy_model(cfg: EncoderConfig, n_outputs: int,
+                       d_uriel: int) -> AlchemyModel:
     """Build a model whose heads are drawn after the encoder from one rng.
 
     The linguistic projection starts near zero so the auxiliary loss first
     learns to read the pooled representation before reshaping it; a full-
     scale random head can lock early training into poor layouts.
     """
-    if task not in ("classification", "regression"):
-        raise ValueError(f"unknown task {task!r}")
     encoder = init_encoder_params(cfg)
     rng = np.random.default_rng((cfg.seed, 0x6EAD))
     d = cfg.d_model
     bound = 1.0 / np.sqrt(d)
     proj_bound = 0.01
     model = AlchemyModel(
-        cfg=cfg, task=task, encoder=encoder,
+        cfg=cfg, encoder=encoder,
         head_w=Tensor(rng.uniform(-bound, bound, (d, n_outputs)), requires_grad=True),
         head_b=Tensor(rng.uniform(-bound, bound, (n_outputs,)), requires_grad=True),
         proj_w=Tensor(rng.uniform(-proj_bound, proj_bound, (d, d_uriel)),
@@ -254,18 +251,11 @@ def task_logits(model: AlchemyModel, pooled: Tensor) -> Tensor:
     return ad.linear(pooled, model.head_w, model.head_b)
 
 
-def _task_loss(model: AlchemyModel, logits: Tensor, labels: np.ndarray) -> Tensor:
-    if model.task == "classification":
-        return ad.softmax_cross_entropy(logits, labels)
-    target = Tensor(np.asarray(labels, dtype=np.float64).reshape(-1, 1))
-    return ad.mse(logits, target)
-
-
 def forward_losses(model: AlchemyModel, batch: TokenBatch, store: UrielStore,
                    sets: Sequence[FeatureSet]) -> tuple[Tensor, Tensor]:
     """One forward pass; returns (task loss, linguistic loss) graph nodes."""
     pooled = encode_cls(model.cfg, model.encoder, batch)
-    l_cls = _task_loss(model, task_logits(model, pooled), batch.labels)
+    l_cls = ad.softmax_cross_entropy(task_logits(model, pooled), batch.labels)
     l_uriel = uriel_loss(project_to_uriel(model, pooled), batch.langs, store, sets)
     return l_cls, l_uriel
 

@@ -1,9 +1,10 @@
 """Fitting a linear map from sentence representations to language vectors.
 
 The fit quality (coefficient of determination) measures how much linguistic
-structure the encoder's mean-pooled representations already carry. Both a
-ridge closed form and a plain full-batch gradient-descent fit are provided;
-the closed form doubles as the optimality oracle for the iterative path.
+structure the encoder's CLS representations, the ones the regularizer trains,
+carry. Both a ridge closed form and a plain full-batch gradient-descent fit
+are provided; the closed form doubles as the optimality oracle for the
+iterative path.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .alchemy import AlchemyModel
-from .encoder import TokenBatch, encoder_forward, pool_mean_masked
+from .encoder import TokenBatch, encode_cls
 from .errors import NumericError, write_csv
 from .uriel import FeatureSet, UrielStore
 
@@ -39,7 +40,7 @@ class GradientDescent:
 
 @dataclass
 class SentenceRepSet:
-    """Pooled sentence representations with per-example language targets."""
+    """CLS sentence representations with per-example language targets."""
 
     reps: np.ndarray
     langs: tuple[str, ...]
@@ -62,12 +63,11 @@ class AlignmentFit:
 def collect_sentence_reps(model: AlchemyModel, batches: Sequence[TokenBatch],
                           store: UrielStore, sets: Sequence[FeatureSet]
                           ) -> SentenceRepSet:
-    """Mean-pooled last hidden states for every example, plus their targets."""
+    """The CLS representation of every example, plus its targets."""
     reps, langs = [], []
     with ad.no_grad():
         for batch in batches:
-            hidden = encoder_forward(model.cfg, model.encoder, batch)
-            reps.append(pool_mean_masked(hidden.data, batch.attention_mask))
+            reps.append(encode_cls(model.cfg, model.encoder, batch).data)
             langs.extend(batch.langs)
     reps = np.concatenate(reps, axis=0)
     targets = store.target_matrix(langs, sets)

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen, train, eval, align, sweep-scale, sweep-features,
-family-gen. Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numeric failure.
+family-gen. Exit codes: 0 success, 2 configuration error, 3 data error
+(a file that cannot be read or written included), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -110,46 +110,20 @@ def _layer(cfg: EncoderConfig, params, i: int, x: Tensor, key_mask: np.ndarray,
     return ad.add(x, lin(ad.gelu(lin(xn, "_up")), "_down"))
 
 
-def _encode(cfg: EncoderConfig, params: dict[str, Tensor], batch: TokenBatch,
-            n_out: int) -> Tensor:
-    """Final-layer-normed states of the first ``n_out`` positions, (B, n_out, d)."""
+def encode_cls(cfg: EncoderConfig, params: dict[str, Tensor],
+               batch: TokenBatch) -> Tensor:
+    """Final-layer-normed CLS states, (B, d_model): the sentence
+    representation that the task head, the linguistic projection and
+    alignment read.
+
+    Masked positions are excluded as attention keys, so they cannot
+    influence any other position. The last layer runs its query, residual
+    and feed-forward for position 0 only.
+    """
     t = batch.ids.shape[1]
     x = ad.embedding(params["tok_emb"], params["pos_emb"], batch.ids)
     for i in range(cfg.n_layers):
         x = _layer(cfg, params, i, x, batch.attention_mask,
-                   t if i < cfg.n_layers - 1 else n_out)
-    return ad.layer_norm(x, params["ln_f_g"], params["ln_f_b"])
-
-
-def encoder_forward(cfg: EncoderConfig, params: dict[str, Tensor],
-                    batch: TokenBatch) -> Tensor:
-    """Run the encoder; returns last hidden states of shape (B, T, d_model).
-
-    Masked positions are excluded as attention keys, so they cannot
-    influence any other position.
-    """
-    return _encode(cfg, params, batch, batch.ids.shape[1])
-
-
-def encode_cls(cfg: EncoderConfig, params: dict[str, Tensor],
-               batch: TokenBatch) -> Tensor:
-    """``pool_cls(encoder_forward(...))``, (B, d_model), without the work
-    pooling discards: the last layer runs its query, residual and
-    feed-forward for position 0 only."""
-    return pool_cls(_encode(cfg, params, batch, 1))
-
-
-def pool_cls(hidden: Tensor) -> Tensor:
-    """Sentence representation from the reserved position-0 slot."""
-    return ad.take_first_position(hidden)
-
-
-def pool_mean_masked(hidden: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Sentence representations, (B, d), as the mean of the (B, T, d) hidden
-    states over each row's unmasked positions. Plain numpy: nothing trains
-    through it."""
-    mask = np.asarray(mask, dtype=bool)
-    counts = mask.sum(axis=1)
-    if (counts == 0).any():
-        raise ValueError("pool_mean_masked: a row has no unmasked position")
-    return np.einsum("btd,bt->bd", hidden, mask.astype(hidden.dtype) / counts[:, None])
+                   t if i < cfg.n_layers - 1 else 1)
+    return ad.take_first_position(
+        ad.layer_norm(x, params["ln_f_g"], params["ln_f_b"]))

@@ -21,17 +21,15 @@ import numpy as np
 
 from .alchemy import (AlchemyModel, AlchemyScale, AlchemyTune, ConstantScaling,
                       ScalingState, TRACE_HEADER, init_alchemy_model,
-                      predict_classes, predict_logits, train_loop)
+                      predict_classes, train_loop)
 from .autodiff import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, TokenBatch
-from .errors import (ConfigError, DataError, NumericError, read_text_lines,
-                     write_csv)
+from .errors import ConfigError, DataError, read_text_lines, write_csv
 from .synthlang import (UNK_ID, Corpus, Example, Vocab, generate_corpus,
                         generate_languages, read_corpus_tsv, tokenize)
 from .uriel import ALL_FEATURE_SETS, FeatureSet, UrielStore, load_uriel_tsv
 
 SCALING_MODES = ("constant", "alchemy_scale", "alchemy_tune")
-TASKS = ("classification", "relatedness")
 SWEEP_FACTORS = (0.0, 10.0, 25.0, 50.0, 100.0)
 EVAL_BATCH = 64   # examples per forward-only batch in evaluation and alignment
 
@@ -60,7 +58,6 @@ class ExperimentConfig:
     field's annotation picks how its value is parsed and written
     (``_KINDS``). Every instance is validated, however it was made."""
 
-    task: str = "classification"
     feature_sets: tuple[FeatureSet, ...] = ALL_FEATURE_SETS
     scaling: str = "constant"
     factor: float = 10.0
@@ -102,8 +99,6 @@ class ExperimentConfig:
                 raise ConfigError(f"family group {i + 1} contains unseen "
                                   f"languages: {', '.join(bad)}")
             previous = set(group)
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.scaling not in SCALING_MODES:
             raise ConfigError(f"scaling must be one of {SCALING_MODES}, "
                               f"got {self.scaling!r}")
@@ -123,11 +118,9 @@ class ExperimentConfig:
         for key, bound in (("gen_seed", 0), ("threads", 0), ("epochs", 0),
                            ("n_layers", 1),
                            ("batch_size", 1), ("n_langs", 1), ("n_families", 1),
-                           ("n_per_lang", 1), ("n_classes", 1)):
+                           ("n_per_lang", 1), ("n_classes", 2)):
             if not getattr(self, key) >= bound:  # also rejects nan
                 raise ConfigError(f"{key} must be >= {bound}")
-        if self.task == "classification" and self.n_classes < 2:
-            raise ConfigError("n_classes must be >= 2 for the classification task")
         if not self.corpus and self.n_langs < self.n_families:
             raise ConfigError(f"n_langs must be >= n_families ({self.n_families}) "
                               "to generate one language per family")
@@ -187,7 +180,7 @@ _KINDS = {
 _FIELD_KINDS = {f.name: _KINDS[f.type] for f in fields(ExperimentConfig)}
 
 # The section header that config files write before the key opening it.
-_SECTIONS = {"task": "task", "scaling": "scaling", "epochs": "training",
+_SECTIONS = {"scaling": "scaling", "epochs": "training",
              "d_model": "model", "seen": "languages", "n_langs": "generate",
              "store_dir": "paths"}
 
@@ -268,25 +261,8 @@ def accuracy(preds, gold) -> float:
     return sum(1 for p, g in zip(preds, gold) if p == g) / len(preds)
 
 
-def pearson(x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("inputs must be equal-length 1-d sequences")
-    if len(x) < 2:
-        raise ValueError("need at least 2 points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    vx = (dx ** 2).sum()
-    vy = (dy ** 2).sum()
-    if vx == 0.0 or vy == 0.0:
-        raise NumericError("pearson undefined: an input has zero variance")
-    return float((dx * dy).sum() / np.sqrt(vx * vy))
-
-
 @dataclass
 class MetricsReport:
-    metric_name: str
     rows: tuple[tuple[str, str, float], ...]      # (lang, split_tag, value)
     aggregates: dict[str, float]
     trace: list[list]
@@ -328,9 +304,8 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
     if cfg.corpus:
         store = load_uriel_tsv({fs: Path(cfg.store_dir) / f"{fs.value}.tsv"
                                 for fs in cfg.feature_sets})
-        examples = read_corpus_tsv(cfg.corpus, task=cfg.task, split_seed=cfg.gen_seed)
-        bad = [e for e in examples if cfg.task == "classification"
-               and not 0 <= e.label < cfg.n_classes]
+        examples = read_corpus_tsv(cfg.corpus, split_seed=cfg.gen_seed)
+        bad = [e for e in examples if not 0 <= e.label < cfg.n_classes]
         if bad:
             raise DataError(f"{cfg.corpus}: language {bad[0].lang} has class label "
                             f"{bad[0].label}, outside 0..{cfg.n_classes - 1}")
@@ -357,18 +332,18 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
         corpus = Corpus(examples=examples, vocab=vocab)
     else:
         corpus = generate_corpus(specs, cfg.n_per_lang, cfg.n_classes,
-                                 cfg.gen_seed, task=cfg.task, vocab_langs=seen)
+                                 cfg.gen_seed, vocab_langs=seen)
     return Benchmark(store=store, corpus=corpus, seen=tuple(seen),
                      unseen=tuple(unseen))
 
 
 def make_token_batch(examples: list[Example], vocab: Vocab,
-                     max_seq_len: int, task: str) -> TokenBatch:
+                     max_seq_len: int) -> TokenBatch:
     """Pad ``examples`` into one batch of CLS-prefixed ids, cut at ``max_seq_len``.
 
     Padding and every ``<unk>`` position are masked: the encoder drops them
-    as attention keys and ``pool_mean_masked`` leaves them out of the mean.
-    The vocabulary is built from the seen languages' training text, so no
+    as attention keys, so they reach no sentence representation. The
+    vocabulary is built from the seen languages' training text, so no
     training batch holds ``<unk>`` and its embedding row never gets a
     gradient; unmasked, it would feed one untrained random vector into
     every sentence with out-of-vocabulary tokens. CLS is never masked.
@@ -381,22 +356,18 @@ def make_token_batch(examples: list[Example], vocab: Vocab,
         ids[i, :len(row)] = row
         mask[i, :len(row)] = True
     mask &= ids != UNK_ID
-    if task == "classification":
-        labels = np.array([e.label for e in examples], dtype=np.int64)
-    else:
-        labels = np.array([e.label for e in examples], dtype=np.float64)
     return TokenBatch(ids=ids, attention_mask=mask,
-                      langs=tuple(e.lang for e in examples), labels=labels)
+                      langs=tuple(e.lang for e in examples),
+                      labels=np.array([e.label for e in examples], dtype=np.int64))
 
 
-def cached_batches(examples: list[Example], vocab: Vocab, max_seq_len: int,
-                   task: str):
+def cached_batches(examples: list[Example], vocab: Vocab, max_seq_len: int):
     """``batches_fn`` for ``train_loop``: ``examples`` are tokenized and
     padded once, and each call slices out the rows of its indices, cut to
     the width of their longest row. The result equals
     ``make_token_batch([examples[i] for i in indices], ...)``.
     """
-    padded = make_token_batch(examples, vocab, max_seq_len, task)
+    padded = make_token_batch(examples, vocab, max_seq_len)
     widths = np.array([min(1 + len(e.tokens), max_seq_len) for e in examples])
 
     def batch(indices):
@@ -418,11 +389,8 @@ def _encoder_config(cfg: ExperimentConfig, vocab_size: int, seed: int) -> Encode
 def build_model(cfg: ExperimentConfig, vocab_size: int, d_uriel: int,
                 seed: int) -> AlchemyModel:
     """The untrained model that a run of ``cfg`` with ``seed`` starts from."""
-    task = "classification" if cfg.task == "classification" else "regression"
-    return init_alchemy_model(
-        _encoder_config(cfg, vocab_size, seed),
-        n_outputs=cfg.n_classes if task == "classification" else 1,
-        d_uriel=d_uriel, task=task)
+    return init_alchemy_model(_encoder_config(cfg, vocab_size, seed),
+                              n_outputs=cfg.n_classes, d_uriel=d_uriel)
 
 
 def _make_scaling(cfg: ExperimentConfig) -> ScalingState:
@@ -461,8 +429,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     scaling = _make_scaling(cfg)
 
     train_examples = train_corpus.examples
-    batches_fn = cached_batches(train_examples, bench.corpus.vocab,
-                                cfg.max_seq_len, cfg.task)
+    batches_fn = cached_batches(train_examples, bench.corpus.vocab, cfg.max_seq_len)
     model, trace_rows = train_loop(
         model, batches_fn, len(train_examples), bench.store, cfg.feature_sets,
         scaling, epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
@@ -471,7 +438,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     rows = evaluate_languages(model, bench, cfg)
     aggregates = _aggregate(rows, dict(cfg.categories))
     report = MetricsReport(
-        metric_name="accuracy" if cfg.task == "classification" else "pearson",
         rows=tuple(rows), aggregates=aggregates, trace=trace_rows,
         config_hash=config_hash(resolved), seed=seed,
         wall_time=time.perf_counter() - t0)
@@ -514,7 +480,7 @@ def load_run(run_dir) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
 
 def evaluate_languages(model, bench: Benchmark,
                        cfg: ExperimentConfig) -> list[tuple[str, str, float]]:
-    """``(lang, split_tag, metric)`` on the test split of each seen, then
+    """``(lang, split_tag, accuracy)`` on the test split of each seen, then
     unseen, language of ``bench`` that has test examples."""
     rows = []
     for split_tag, langs in (("seen", bench.seen), ("unseen", bench.unseen)):
@@ -529,21 +495,15 @@ def eval_batches(corpus: Corpus, cfg: ExperimentConfig) -> list[TokenBatch]:
     """``corpus`` in order, as forward-only batches of ``EVAL_BATCH``."""
     examples = corpus.examples
     return [make_token_batch(examples[i:i + EVAL_BATCH], corpus.vocab,
-                             cfg.max_seq_len, cfg.task)
+                             cfg.max_seq_len)
             for i in range(0, len(examples), EVAL_BATCH)]
 
 
 def _evaluate(model, corpus: Corpus, cfg: ExperimentConfig) -> float:
     preds: list = []
     for batch in eval_batches(corpus, cfg):
-        if cfg.task == "classification":
-            preds.extend(predict_classes(model, batch).tolist())
-        else:
-            preds.extend(predict_logits(model, batch)[:, 0].tolist())
-    gold = [e.label for e in corpus.examples]
-    if cfg.task == "classification":
-        return accuracy(preds, gold)
-    return pearson(preds, gold)
+        preds.extend(predict_classes(model, batch).tolist())
+    return accuracy(preds, [e.label for e in corpus.examples])
 
 
 def _aggregate(rows, categories: dict[str, str]) -> dict[str, float]:
@@ -697,14 +657,13 @@ def export_report(report: MetricsReport, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_csv(directory / "report.csv", ["lang", "split", "metric", "value"],
-              [[lang, split_tag, report.metric_name, value]
+              [[lang, split_tag, "accuracy", value]
                for lang, split_tag, value in report.rows])
     write_csv(directory / "trace.csv", TRACE_HEADER, report.trace)
     labels = [lang for lang, _, _ in report.rows]
     values = [v for _, _, v in report.rows]
     tags = [t for _, t, _ in report.rows]
-    svg = svg_bar_chart(labels, values, tags,
-                        title=f"per-language {report.metric_name}")
+    svg = svg_bar_chart(labels, values, tags, title="per-language accuracy")
     (directory / "plot.svg").write_text(svg, encoding="utf-8")
 
 

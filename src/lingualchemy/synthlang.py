@@ -30,7 +30,6 @@ CLS_TOKEN = "<cls>"
 UNK_TOKEN = "<unk>"
 CLS_ID = 0
 UNK_ID = 1
-PAIR_SEPARATOR = "::"
 
 # Fixed reference points on the unit sphere (lat, lon in radians).
 GEO_ANCHORS = (
@@ -129,7 +128,7 @@ def tokenize(vocab: Vocab, tokens) -> list[int]:
 @dataclass(frozen=True)
 class Example:
     lang: str
-    label: int | float
+    label: int
     tokens: tuple[str, ...]
     split: str
 
@@ -355,14 +354,7 @@ def _assign_splits(rng, keys: list) -> list[str]:
     return [order[i] for i in range(len(keys))]
 
 
-def _jaccard(a: list[str], b: list[str]) -> float:
-    sa, sb = set(a), set(b)
-    union = sa | sb
-    return len(sa & sb) / len(union) if union else 0.0
-
-
 def generate_corpus(specs, n_per_lang: int, n_classes: int, seed: int,
-                    task: str = "classification",
                     vocab_langs=None) -> Corpus:
     """Generate a deterministic multilingual corpus over the given languages.
 
@@ -370,11 +362,9 @@ def generate_corpus(specs, n_per_lang: int, n_classes: int, seed: int,
     train-split text (defaults to all languages, which makes the training
     split UNK-free). Labels are stratified within each language to +/-1.
     """
-    if task not in ("classification", "relatedness"):
-        raise ValueError(f"unknown task {task!r}")
     if n_per_lang < 1:
         raise ValueError("n_per_lang must be positive")
-    if task == "classification" and n_classes < 2:
+    if n_classes < 2:
         raise ValueError("need at least 2 classes")
 
     stems_by_class = _class_stems(n_classes)
@@ -386,30 +376,13 @@ def generate_corpus(specs, n_per_lang: int, n_classes: int, seed: int,
         rng = _lang_rng(seed, spec)
         lexicon = _build_lexicon(rng, spec, all_stems)
         affixes = _family_affixes(spec.family)
-        if task == "classification":
-            labels = _stratified_labels(rng, n_per_lang, n_classes)
-            rows = []
-            for label in labels:
-                toks = _sentence(rng, spec, lexicon, affixes,
-                                 stems_by_class[label], fillers)
-                rows.append((label, tuple(toks)))
-            splits = _assign_splits(rng, [r[0] for r in rows])
-        else:
-            rows = []
-            for _ in range(n_per_lang):
-                topic = int(rng.integers(n_classes))
-                first = _sentence(rng, spec, lexicon, affixes,
-                                  stems_by_class[topic], fillers)
-                if rng.random() < 0.5:
-                    second = _sentence(rng, spec, lexicon, affixes,
-                                       stems_by_class[topic], fillers)
-                else:
-                    other = int(rng.integers(n_classes))
-                    second = _sentence(rng, spec, lexicon, affixes,
-                                       stems_by_class[other], fillers)
-                label = round(_jaccard(first, second), 6)
-                rows.append((label, tuple(first + [PAIR_SEPARATOR] + second)))
-            splits = _assign_splits(rng, [0] * len(rows))
+        labels = _stratified_labels(rng, n_per_lang, n_classes)
+        rows = []
+        for label in labels:
+            toks = _sentence(rng, spec, lexicon, affixes,
+                             stems_by_class[label], fillers)
+            rows.append((label, tuple(toks)))
+        splits = _assign_splits(rng, labels)
         for (label, toks), split in zip(rows, splits):
             examples.append(Example(lang=spec.lang, label=label,
                                     tokens=toks, split=split))
@@ -447,14 +420,14 @@ def write_corpus_tsv(corpus: Corpus, path) -> None:
             fh.write(f"{e.lang}\t{e.label}\t{' '.join(e.tokens)}\n")
 
 
-def read_corpus_tsv(path, task: str = "classification",
-                    split_seed: int = 0) -> list[Example]:
-    """Generic ingester: ``lang<TAB>label<TAB>space-joined tokens`` per line.
+def read_corpus_tsv(path, split_seed: int = 0) -> list[Example]:
+    """Generic ingester: ``lang<TAB>label<TAB>space-joined tokens`` per line,
+    the label an integer class index.
 
-    Split assignment is deterministic per language (stratified by label for
-    classification), mirroring the synthetic generator.
+    Split assignment is deterministic per language and stratified by label,
+    mirroring the synthetic generator.
     """
-    raw: list[tuple[str, int | float, tuple[str, ...]]] = []
+    raw: list[tuple[str, int, tuple[str, ...]]] = []
     for line_no, line in enumerate(read_text_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -463,7 +436,7 @@ def read_corpus_tsv(path, task: str = "classification",
             raise TsvFormatError(path, line_no, f"expected 3 columns, got {len(cells)}")
         lang, label_s, text = cells
         try:
-            label = int(label_s) if task == "classification" else float(label_s)
+            label = int(label_s)
         except ValueError:
             raise TsvFormatError(path, line_no, f"bad label {label_s!r}") from None
         raw.append((lang, label, tuple(text.split())))
@@ -474,8 +447,7 @@ def read_corpus_tsv(path, task: str = "classification",
     for lang in sorted({r[0] for r in raw}):
         rows = [r for r in raw if r[0] == lang]
         rng = np.random.default_rng([split_seed, zlib.crc32(lang.encode("utf-8"))])
-        keys = [r[1] for r in rows] if task == "classification" else [0] * len(rows)
-        splits = _assign_splits(rng, keys)
+        splits = _assign_splits(rng, [r[1] for r in rows])
         for (l, label, toks), split in zip(rows, splits):
             examples.append(Example(lang=l, label=label, tokens=toks, split=split))
     return examples

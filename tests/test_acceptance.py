@@ -193,7 +193,7 @@ class TestCriterion3UrielLossOracle:
 
 class TestCriterion4ZeroRegularizerEquivalence:
     def test_bit_match_fifty_steps(self, tiny_store):
-        from lingualchemy.alchemy import _task_loss, task_logits
+        from lingualchemy.alchemy import task_logits
         from lingualchemy.encoder import encode_cls
 
         cfg = EncoderConfig(vocab_size=13, d_model=8, n_heads=2, n_layers=1,
@@ -213,7 +213,8 @@ class TestCriterion4ZeroRegularizerEquivalence:
             train_step(regularized, batch, tiny_store,
                        [FeatureSet.SYNTAX_KNN], scaling, opt_r)
             pooled = encode_cls(plain.cfg, plain.encoder, batch)
-            loss = _task_loss(plain, task_logits(plain, pooled), batch.labels)
+            loss = ad.softmax_cross_entropy(task_logits(plain, pooled),
+                                            batch.labels)
             ad.backward(loss)
             opt_p.step()
             opt_p.zero_grad()
@@ -288,11 +289,10 @@ class TestCriterion7OverfitSmoke:
             for start in range(0, len(order), 32):
                 idx = order[start:start + 32]
                 batch = make_token_batch([examples[i] for i in idx],
-                                         corpus.vocab, 32, "classification")
+                                         corpus.vocab, 32)
                 train_step(model, batch, store, ALL_FEATURE_SETS, scaling, opt)
             if epoch % 5 == 4:
-                batch = make_token_batch(examples, corpus.vocab, 32,
-                                         "classification")
+                batch = make_token_batch(examples, corpus.vocab, 32)
                 preds = predict_classes(model, batch)
                 acc = float(np.mean(preds == batch.labels))
                 if acc >= 0.99:

@@ -9,8 +9,7 @@ from lingualchemy.alignment import (AlignmentFit, ClosedForm, GradientDescent,
                                     export_alignment_report, fit_alignment,
                                     pca_2d, r_squared)
 from lingualchemy.alchemy import init_alchemy_model
-from lingualchemy.encoder import (EncoderConfig, TokenBatch, encoder_forward,
-                                  pool_mean_masked)
+from lingualchemy.encoder import EncoderConfig, TokenBatch, encode_cls
 from lingualchemy.errors import NumericError
 from lingualchemy.uriel import FeatureSet, load_uriel_tsv
 
@@ -209,9 +208,8 @@ class TestCollectSentenceReps:
         store, model, batch = setup
         data = collect_sentence_reps(model, [batch], store,
                                      [FeatureSet.SYNTAX_KNN])
-        hidden = encoder_forward(model.cfg, model.encoder, batch)
-        direct = pool_mean_masked(hidden.data, batch.attention_mask)
-        assert np.abs(data.reps - direct).max() < 1e-6
+        direct = encode_cls(model.cfg, model.encoder, batch).data
+        np.testing.assert_array_equal(data.reps, direct)
 
 
 class TestReportExport:

@@ -9,8 +9,6 @@ from lingualchemy.cli import main
 from lingualchemy.harness import ExperimentConfig
 
 FAST_CFG = """\
-[task]
-task = classification
 [training]
 epochs = 2
 batch_size = 16
@@ -103,6 +101,23 @@ class TestExitCodes:
     def test_data_error_is_3(self, tmp_path, cfg_file):
         missing = tmp_path / "nope.cfg"
         assert run_cli("--config", str(missing), "train") == 3
+
+    def test_config_path_is_a_directory_is_3(self, tmp_path, capsys):
+        assert run_cli("--config", str(tmp_path), "train") == 3
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_run_dir_is_a_file_is_3(self, tmp_path, capsys):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("not a run directory\n", encoding="utf-8")
+        assert run_cli("eval", "--run-dir", str(plain)) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_out_below_a_file_is_3(self, tmp_path, cfg_file, capsys):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("", encoding="utf-8")
+        assert run_cli("--config", str(cfg_file), "--out", str(plain / "x"),
+                       "gen") == 3
+        assert capsys.readouterr().err.startswith("data error:")
 
     @pytest.mark.parametrize("label", ["7", "-1"])
     def test_corpus_label_out_of_range_is_3(self, tmp_path, cfg_file, capsys,
@@ -341,7 +356,7 @@ class TestFamilyGen:
         def two_groups(cfg, seed=None):
             rows = (("a:b", "unseen", 0.5), ("c,d", "unseen", 0.25),
                     ("e", "seen", 1.0))
-            return [MetricsReport("accuracy", rows, {}, [], "hash", seed)] * 2
+            return [MetricsReport(rows, {}, [], "hash", seed)] * 2
 
         monkeypatch.setattr(cli, "family_split_experiment", two_groups)
         cfg = tmp_path / "fam.cfg"

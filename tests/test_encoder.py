@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from lingualchemy import autodiff as ad
-from lingualchemy.encoder import (EncoderConfig, TokenBatch, encode_cls,
-                                  encoder_forward, init_encoder_params,
-                                  pool_cls, pool_mean_masked)
+from lingualchemy.encoder import (EncoderConfig, TokenBatch, _layer,
+                                  encode_cls, init_encoder_params)
 
 from gradcheck import finite_difference_grad, sum_all
 
@@ -58,52 +57,61 @@ class TestInit:
 class TestForward:
     def test_output_shape(self):
         params = init_encoder_params(CFG)
-        out = encoder_forward(CFG, params, batch_of([[0, 5, 7], [0, 2, 2]]))
-        assert out.shape == (2, 3, CFG.d_model)
+        out = encode_cls(CFG, params, batch_of([[0, 5, 7], [0, 2, 2]]))
+        assert out.shape == (2, CFG.d_model)
 
     def test_forward_is_pure(self):
         params = init_encoder_params(CFG)
         b = batch_of([[0, 5, 7, 1]])
-        o1 = encoder_forward(CFG, params, b)
-        o2 = encoder_forward(CFG, params, b)
+        o1 = encode_cls(CFG, params, b)
+        o2 = encode_cls(CFG, params, b)
         np.testing.assert_array_equal(o1.data, o2.data)
 
     def test_batch_row_permutation_equivariance(self):
         params = init_encoder_params(CFG)
         ids = np.array([[0, 5, 7], [0, 2, 3], [0, 9, 9]])
-        out = encoder_forward(CFG, params, batch_of(ids)).data
+        out = encode_cls(CFG, params, batch_of(ids)).data
         perm = [2, 0, 1]
-        out_p = encoder_forward(CFG, params, batch_of(ids[perm])).data
+        out_p = encode_cls(CFG, params, batch_of(ids[perm])).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
     def test_masked_position_cannot_influence_others(self):
         # recompute with a different token id at a masked slot: oracle check
         params = init_encoder_params(CFG)
         mask = np.array([[True, True, False, True]])
-        a = encoder_forward(CFG, params,
-                            batch_of([[0, 5, 7, 2]], mask=mask)).data
-        b = encoder_forward(CFG, params,
-                            batch_of([[0, 5, 12, 2]], mask=mask)).data
-        keep = [0, 1, 3]
-        assert np.abs(a[:, keep] - b[:, keep]).max() < 1e-6
+        a = encode_cls(CFG, params, batch_of([[0, 5, 7, 2]], mask=mask)).data
+        b = encode_cls(CFG, params, batch_of([[0, 5, 12, 2]], mask=mask)).data
+        assert np.abs(a - b).max() < 1e-6
+        # an unmasked slot does reach the CLS row
+        c = encode_cls(CFG, params, batch_of([[0, 5, 7, 9]], mask=mask)).data
+        assert np.abs(a - c).max() > 1e-6
 
     def test_id_out_of_range(self):
         params = init_encoder_params(CFG)
         with pytest.raises(ValueError, match="vocabulary"):
-            encoder_forward(CFG, params, batch_of([[0, 99]]))
+            encode_cls(CFG, params, batch_of([[0, 99]]))
 
     def test_overlength_sequence(self):
         params = init_encoder_params(CFG)
         with pytest.raises(ValueError, match="max_seq_len"):
-            encoder_forward(CFG, params, batch_of([[0] * 9]))
+            encode_cls(CFG, params, batch_of([[0] * 9]))
 
     def test_cls_mask_enforced(self):
         with pytest.raises(ValueError, match="CLS"):
             batch_of([[0, 5]], mask=np.array([[False, True]]))
 
 
+def full_forward_cls(cfg, params, batch):
+    """Oracle: every layer at full length, then ``ln_f``, then position 0."""
+    x = ad.embedding(params["tok_emb"], params["pos_emb"], batch.ids)
+    for i in range(cfg.n_layers):
+        x = _layer(cfg, params, i, x, batch.attention_mask, batch.ids.shape[1])
+    x = ad.layer_norm(x, params["ln_f_g"], params["ln_f_b"])
+    return ad.take_first_position(x)
+
+
 class TestEncodeCls:
-    """The CLS-only last layer gives what pooling the full states gives."""
+    """The CLS-only last layer gives what the full-length forward gives."""
 
     @staticmethod
     def value_and_grads(build, params, weights):
@@ -125,7 +133,7 @@ class TestEncodeCls:
                          mask=mask)
         weights = np.random.default_rng(n_layers).normal(size=(3, cfg.d_model))
         full, full_grads = self.value_and_grads(
-            lambda: pool_cls(encoder_forward(cfg, params, batch)), params, weights)
+            lambda: full_forward_cls(cfg, params, batch), params, weights)
         cls, cls_grads = self.value_and_grads(
             lambda: encode_cls(cfg, params, batch), params, weights)
         assert cls.shape == (3, cfg.d_model)
@@ -139,7 +147,7 @@ class TestEncodeCls:
 class TestPooling:
     def test_pool_cls_slice(self):
         hidden = ad.Tensor(np.arange(12, dtype=np.float64).reshape(1, 4, 3))
-        got = pool_cls(hidden)
+        got = ad.take_first_position(hidden)
         assert got.data.tolist() == [[0.0, 1.0, 2.0]]
 
     def test_pool_cls_ignores_other_positions(self):
@@ -147,44 +155,21 @@ class TestPooling:
         base[0, 0] = [1.0, 2.0]
         other = base.copy()
         other[0, 1:] = 9.0
-        np.testing.assert_array_equal(pool_cls(ad.Tensor(base)).data,
-                                      pool_cls(ad.Tensor(other)).data)
+        np.testing.assert_array_equal(
+            ad.take_first_position(ad.Tensor(base)).data,
+            ad.take_first_position(ad.Tensor(other)).data)
 
     def test_pool_cls_gradient_only_into_position_zero(self):
         hidden = ad.Tensor(np.random.default_rng(0).normal(size=(2, 3, 4)),
                            requires_grad=True)
-        pooled = pool_cls(hidden)
+        pooled = ad.take_first_position(hidden)
         loss = ad.mse(pooled, ad.Tensor(np.zeros((2, 4))))
         ad.backward(loss)
         assert np.abs(hidden.grad[:, 1:]).max() == 0.0
         # finite differences confirm zero gradient at a non-CLS input
         def loss_fn():
-            return ad.mse(pool_cls(hidden), ad.Tensor(np.zeros((2, 4)))).item()
+            return ad.mse(ad.take_first_position(hidden),
+                          ad.Tensor(np.zeros((2, 4)))).item()
         fd = finite_difference_grad(loss_fn, hidden, coords=[5, 9])
         flat_positions = fd.reshape(-1)
         assert abs(flat_positions[5]) < 1e-9 and abs(flat_positions[9]) < 1e-9
-
-    def test_mean_masked_hand_case(self):
-        hidden = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
-        mask = np.array([[True, True, False]])
-        assert pool_mean_masked(hidden, mask).tolist() == [[2.0, 3.0]]
-
-    def test_mean_masked_all_true_constant(self):
-        hidden = np.full((2, 3, 4), 7.0)
-        mask = np.ones((2, 3), dtype=bool)
-        np.testing.assert_allclose(pool_mean_masked(hidden, mask), 7.0)
-
-    def test_mean_masked_ignores_masked_values(self):
-        rng = np.random.default_rng(0)
-        base = rng.normal(size=(1, 3, 2))
-        mask = np.array([[True, False, True]])
-        toggled = base.copy()
-        toggled[0, 1] = 123.0
-        a = pool_mean_masked(base, mask)
-        b = pool_mean_masked(toggled, mask)
-        np.testing.assert_array_equal(a, b)
-
-    def test_all_false_row_rejected(self):
-        hidden = np.zeros((1, 2, 2))
-        with pytest.raises(ValueError, match="no unmasked"):
-            pool_mean_masked(hidden, np.array([[False, False]]))

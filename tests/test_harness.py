@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from lingualchemy.alchemy import predict_logits
-from lingualchemy.errors import ConfigError, DataError, NumericError, write_csv
+from lingualchemy.errors import ConfigError, DataError, write_csv
 from lingualchemy.harness import (ExperimentConfig, MetricsReport, SweepRow,
                                   accuracy, build_model, cached_batches,
                                   config_hash,
                                   evaluate_languages, export_report,
                                   export_sweep, family_split_experiment,
                                   feature_combo_label, load_run,
-                                  make_token_batch, parse_config, pearson,
+                                  make_token_batch, parse_config,
                                   prepare_benchmark, run_experiment,
                                   serialize_config, svg_bar_chart)
 from lingualchemy.synthlang import UNK_ID, Example, Vocab, generate_languages
@@ -44,26 +44,11 @@ class TestMetrics:
     def test_argmax_tie_break_lowest_index(self):
         assert int(np.argmax(np.array([0.5, 0.5]))) == 0
 
-    def test_pearson_identity(self):
-        assert pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
-
-    def test_pearson_negation(self):
-        assert pearson([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]) == pytest.approx(-1.0)
-
-    def test_pearson_hand_value(self):
-        assert pearson([1.0, 2.0, 3.0], [1.0, 2.0, 4.0]) == pytest.approx(
-            0.9820, abs=1e-4)
-
-    def test_pearson_zero_variance(self):
-        with pytest.raises(NumericError):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
 
 class TestConfig:
     def test_minimal_config_defaults(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("[task]\ntask = classification\n"
-                        "[paths]\nout_dir = runs/x\n", encoding="utf-8")
+        path.write_text("[paths]\nout_dir = runs/x\n", encoding="utf-8")
         cfg = parse_config(path)
         assert cfg.scaling == "constant" and cfg.factor == 10.0
         assert cfg.seeds == (1, 2, 3, 4, 5)
@@ -71,7 +56,7 @@ class TestConfig:
 
     def test_unknown_key_has_line_number(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("task = classification\nbogus = 1\n", encoding="utf-8")
+        path.write_text("scaling = constant\nbogus = 1\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="2"):
             parse_config(path)
 
@@ -97,7 +82,7 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         # every key off its default, so every kind of value is written and read
         cfg = ExperimentConfig(
-            task="relatedness", feature_sets=(FeatureSet.GEO, FeatureSet.SYNTAX_KNN),
+            feature_sets=(FeatureSet.GEO, FeatureSet.SYNTAX_KNN),
             scaling="alchemy_tune", factor=2.5, epochs=3, batch_size=8, lr=0.25,
             weight_decay=0.0, seeds=(7, 0, 3), d_model=48, n_layers=3, n_heads=6,
             max_seq_len=20, seen=("syn00", "syn01"), unseen=("syn02",),
@@ -114,7 +99,7 @@ class TestConfig:
 
     def test_default_hash_pinned(self):
         # the hash of the reference benchmark's config.resolved text
-        assert config_hash(ExperimentConfig()) == "52d719db707a323c"
+        assert config_hash(ExperimentConfig()) == "182bf4133f9cc45d"
 
     def test_built_config_is_validated(self):
         with pytest.raises(ConfigError, match="n_layers"):
@@ -171,8 +156,7 @@ class TestUnkMasking:
         vocab = Vocab(token_to_id={"<cls>": 0, "<unk>": 1, "a": 2, "b": 3})
         examples = [Example("aa", 0, ("a", "zz", "b", "qq"), "test"),
                     Example("aa", 1, ("b",), "test")]
-        batch = make_token_batch(examples, vocab, max_seq_len=8,
-                                 task="classification")
+        batch = make_token_batch(examples, vocab, max_seq_len=8)
         np.testing.assert_array_equal(batch.ids, [[0, 2, 1, 3, 1],
                                                   [0, 3, 0, 0, 0]])
         np.testing.assert_array_equal(batch.attention_mask,
@@ -184,7 +168,7 @@ class TestUnkMasking:
         bench = prepare_benchmark(cfg)
         examples = bench.corpus.for_langs(bench.unseen).subset("test").examples
         batch = make_token_batch(examples, bench.corpus.vocab,
-                                 cfg.max_seq_len, cfg.task)
+                                 cfg.max_seq_len)
         assert (batch.ids == UNK_ID).any()
         model = build_model(cfg, len(bench.corpus.vocab),
                             bench.store.vector_dim(cfg.feature_sets), seed=1)
@@ -258,12 +242,6 @@ class TestRunExperiment:
                 values.flags.writeable = True
                 values[:] = 999.0
         assert evaluate_languages(model, bench, cfg) == before
-
-    def test_regression_task_reports_pearson(self):
-        cfg = fast_cfg(task="relatedness", n_langs=6, n_families=3, epochs=1)
-        report = run_experiment(cfg, seed=1, persist=False)
-        assert report.metric_name == "pearson"
-        assert all(-1.0 <= v <= 1.0 for _, _, v in report.rows)
 
     def test_failed_run_removes_partial_outputs(self, tmp_path, monkeypatch):
         cfg = fast_cfg(out_dir=str(tmp_path / "broken"))
@@ -409,7 +387,7 @@ class TestGraphSize:
         model = build_model(cfg, len(bench.corpus.vocab),
                             bench.store.vector_dim(cfg.feature_sets), seed=0)
         batch = make_token_batch(examples[:cfg.batch_size], bench.corpus.vocab,
-                                 cfg.max_seq_len, cfg.task)
+                                 cfg.max_seq_len)
         l_cls, l_uriel = forward_losses(model, batch, bench.store, cfg.feature_sets)
         total, _ = combine_losses(l_cls, l_uriel, ConstantScaling(cfg.factor))
         op_nodes = [n for n in ad._topo_order(total) if n._parents]
@@ -417,22 +395,20 @@ class TestGraphSize:
 
 
 class TestCachedBatches:
-    @pytest.mark.parametrize("task", ["classification", "relatedness"])
-    def test_equal_to_make_token_batch(self, task):
-        cfg = fast_cfg(n_langs=12, n_families=4, task=task, max_seq_len=8)
+    def test_equal_to_make_token_batch(self):
+        cfg = fast_cfg(n_langs=12, n_families=4, max_seq_len=8)
         bench = prepare_benchmark(cfg)
         # every split and language, so rows are cut at max_seq_len and
         # unseen-language rows hold <unk>
         examples = bench.corpus.examples
         batches = cached_batches(examples, bench.corpus.vocab,
-                                 cfg.max_seq_len, cfg.task)
+                                 cfg.max_seq_len)
         rng = np.random.default_rng(0)
         for size in (1, 2, 7, 16, 33):
             idx = rng.choice(len(examples), size=size, replace=False)
             got = batches(idx)
             want = make_token_batch([examples[i] for i in idx],
-                                    bench.corpus.vocab, cfg.max_seq_len,
-                                    cfg.task)
+                                    bench.corpus.vocab, cfg.max_seq_len)
             for name in ("ids", "attention_mask", "labels"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype, name
@@ -465,7 +441,7 @@ class TestHeapStaysMapped:
         opt = make_optimizer(model, scaling, lr=cfg.lr,
                              weight_decay=cfg.weight_decay)
         batches = cached_batches(examples, bench.corpus.vocab,
-                                 cfg.max_seq_len, cfg.task)
+                                 cfg.max_seq_len)
         rng = np.random.default_rng(0)
         warmup, measured = 20, 80
         for step in range(warmup + measured):
@@ -481,7 +457,6 @@ class TestHeapStaysMapped:
 class TestExportReport:
     def make_report(self):
         return MetricsReport(
-            metric_name="accuracy",
             rows=(("syn00", "seen", 0.75), ("syn01", "unseen", 0.5)),
             aggregates={"seen_mean": 0.75, "unseen_mean": 0.5},
             trace=[[0, 1, 0.4, 0.1, 1.0, 10.0, None, 1.4]],

@@ -12,10 +12,15 @@ from dataclasses import fields
 import pytest
 
 from lingualchemy import autodiff as ad
-from lingualchemy.alchemy import AlchemyScale, AlchemyTune
+from lingualchemy import encoder
+from lingualchemy.alchemy import AlchemyScale, AlchemyTune, init_alchemy_model
 from lingualchemy.alignment import GradientDescent
 from lingualchemy.autodiff import AdamW, Tensor
-from lingualchemy.harness import Benchmark, svg_bar_chart, svg_line_chart
+from lingualchemy.errors import ConfigError
+from lingualchemy.harness import (Benchmark, ExperimentConfig, cached_batches,
+                                  make_token_batch, parse_config,
+                                  svg_bar_chart, svg_line_chart)
+from lingualchemy.synthlang import generate_corpus, read_corpus_tsv
 
 FIXED = [
     (AdamW, {"betas", "eps"}),
@@ -27,6 +32,12 @@ FIXED = [
     (svg_bar_chart, {"width", "height"}),
     (svg_line_chart, {"width", "height"}),
     (Tensor, {"dtype"}),
+    # classification is the only task
+    (init_alchemy_model, {"task"}),
+    (generate_corpus, {"task"}),
+    (read_corpus_tsv, {"task"}),
+    (make_token_batch, {"task"}),
+    (cached_batches, {"task"}),
 ]
 
 
@@ -61,3 +72,17 @@ class TestEqualShapeBinaryOps:
         assert x.grad == (1.0 if op is ad.add else -2.0)
         with pytest.raises(ValueError, match="incompatible shapes"):
             op(Tensor([1.0, 2.0]), -2.0)
+
+
+class TestOneTaskOneRepresentation:
+    def test_config_has_no_task(self, tmp_path):
+        assert "task" not in {f.name for f in fields(ExperimentConfig)}
+        path = tmp_path / "exp.cfg"
+        path.write_text("task = classification\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown key 'task'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("name", ["encoder_forward", "pool_mean_masked",
+                                      "pool_cls"])
+    def test_encoder_has_one_forward(self, name):
+        assert not hasattr(encoder, name)

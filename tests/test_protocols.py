@@ -53,7 +53,7 @@ class TestTrainLoopRuntime:
 
         def batches_fn(indices):
             return make_token_batch([train[i] for i in indices], corpus.vocab,
-                                    cfg.max_seq_len, "classification")
+                                    cfg.max_seq_len)
 
         t0 = time.perf_counter()
         train_loop(model, batches_fn, len(train), store, ALL_FEATURE_SETS,

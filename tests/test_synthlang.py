@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lingualchemy.synthlang import (GEO_ANCHORS, PAIR_SEPARATOR, Corpus,
-                                    Example, SynthLanguageSpec, Vocab,
+from lingualchemy.synthlang import (GEO_ANCHORS, Corpus, Example,
+                                    SynthLanguageSpec, Vocab,
                                     generate_corpus, generate_languages,
                                     geo_feature_vector, haversine_angle,
                                     read_corpus_tsv, tokenize, unk_rate,
@@ -141,14 +141,6 @@ class TestGenerateCorpus:
         unseen = [s.lang for s in specs[4:]]
         assert any(rates[l] > 0 for l in unseen)
 
-    def test_relatedness_labels_in_unit_interval(self):
-        specs, _ = generate_languages(4, 2, seed=0)
-        corpus = generate_corpus(specs, 30, 3, seed=4, task="relatedness")
-        labels = [e.label for e in corpus.examples]
-        assert all(0.0 <= l <= 1.0 for l in labels)
-        assert any(isinstance(l, float) and 0.0 < l < 1.0 for l in labels)
-        assert all(PAIR_SEPARATOR in e.tokens for e in corpus.examples)
-
     def test_bad_counts(self):
         specs, _ = generate_languages(2, 1, seed=0)
         with pytest.raises(ValueError):
@@ -230,7 +222,7 @@ class TestCorpusTsv:
         corpus = generate_corpus(specs, 20, 3, seed=1)
         path = tmp_path / "corpus.tsv"
         write_corpus_tsv(corpus, path)
-        examples = read_corpus_tsv(path, task="classification")
+        examples = read_corpus_tsv(path)
         assert {(e.lang, e.label, e.tokens) for e in examples} == \
                {(e.lang, e.label, e.tokens) for e in corpus.examples}
 
@@ -238,7 +230,7 @@ class TestCorpusTsv:
         path = tmp_path / "bad.tsv"
         path.write_text("aa\t0\tx y\nbb\toops\tz\n", encoding="utf-8")
         with pytest.raises(Exception, match="2"):
-            read_corpus_tsv(path, task="classification")
+            read_corpus_tsv(path)
 
     def test_split_assignment_deterministic(self, tmp_path):
         specs, _ = generate_languages(4, 2, seed=0)
