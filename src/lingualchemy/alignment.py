@@ -101,9 +101,16 @@ def _row_mse(pred: np.ndarray, target: np.ndarray) -> float:
 
 def fit_alignment(data: SentenceRepSet,
                   method: ClosedForm | GradientDescent = ClosedForm()) -> AlignmentFit:
-    """Fit targets ~= W @ rep + b by the requested method."""
+    """Fit targets ~= W @ rep + b by the requested method.
+
+    Non-finite reps or targets raise ``NumericError`` before either method runs.
+    """
     x = np.asarray(data.reps, dtype=np.float64)
     y = np.asarray(data.targets, dtype=np.float64)
+    for name, arr in (("reps", x), ("targets", y)):
+        bad = arr.size - int(np.isfinite(arr).sum())
+        if bad:
+            raise NumericError(f"alignment {name} hold {bad} non-finite entries")
     if isinstance(method, ClosedForm):
         w, b = _fit_closed_form(x, y, method.ridge)
     elif isinstance(method, GradientDescent):
@@ -123,7 +130,11 @@ def _fit_closed_form(x: np.ndarray, y: np.ndarray, ridge: float):
     xc = x - x_mean
     yc = y - y_mean
     if ridge > 0.0:
-        gram = xc.T @ xc + ridge * np.eye(x.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = xc.T @ xc + ridge * np.eye(x.shape[1])
+        if not np.isfinite(gram).all():
+            raise NumericError("normal equations overflow float64; "
+                               "rescale the representations")
         try:
             coef = np.linalg.solve(gram, xc.T @ yc)
         except np.linalg.LinAlgError as exc:
@@ -140,21 +151,34 @@ def _fit_closed_form(x: np.ndarray, y: np.ndarray, ridge: float):
 
 
 def _fit_gradient_descent(x: np.ndarray, y: np.ndarray):
+    """Full-batch descent on the row-averaged squared error.
+
+    The gradient sees the data only through x^T x, sum(x), y^T x and sum(y),
+    so those are formed once and one iteration costs O(d_out * d_rep^2)
+    whatever the row count.
+    """
     n, d_rep = x.shape
     d_out = y.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, x_sum = x.T @ x, x.sum(axis=0)
+        yx, y_sum = y.T @ x, y.sum(axis=0)
+    if not all(np.isfinite(s).all() for s in (gram, x_sum, yx, y_sum)):
+        raise NumericError("descent statistics overflow float64; "
+                           "rescale the representations")
     rng = np.random.default_rng(GD_SEED)
     w = rng.uniform(-0.01, 0.01, size=(d_out, d_rep))
     b = rng.uniform(-0.01, 0.01, size=d_out)
     for _ in range(GD_ITERS):
-        resid = x @ w.T + b - y            # (n, d_out)
-        gw = 2.0 / n * resid.T @ x
-        gb = 2.0 / n * resid.sum(axis=0)
+        gw = 2.0 / n * (w @ gram + np.outer(b, x_sum) - yx)
+        gb = 2.0 / n * (w @ x_sum + n * b - y_sum)
         norm = np.sqrt((gw ** 2).sum() + (gb ** 2).sum())
         if norm > GD_CLIP_NORM:
             factor = GD_CLIP_NORM / norm
             gw, gb = gw * factor, gb * factor
         w = w - GD_LR * gw
         b = b - GD_LR * gb
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise NumericError("gradient descent ended in a non-finite fit")
     return w, b
 
 

@@ -319,10 +319,10 @@ def _sentence(rng, spec, lexicon, affixes, stems: list[str],
               fillers: list[str]) -> list[str]:
     n_content = int(rng.integers(3, 6))
     n_filler = int(rng.integers(3, 7))
-    content_stems = [str(s) for s in rng.choice(stems, size=n_content, replace=False)]
-    filler_stems = [str(s) for s in rng.choice(fillers, size=n_filler, replace=False)]
-    content = [_realize(rng, spec, lexicon, affixes, s) for s in content_stems]
-    filler = [_realize(rng, spec, lexicon, affixes, s) for s in filler_stems]
+    content_ids = rng.choice(len(stems), size=n_content, replace=False)
+    filler_ids = rng.choice(len(fillers), size=n_filler, replace=False)
+    content = [_realize(rng, spec, lexicon, affixes, stems[i]) for i in content_ids]
+    filler = [_realize(rng, spec, lexicon, affixes, fillers[i]) for i in filler_ids]
     return _arrange(spec.order_bucket, content, filler)
 
 

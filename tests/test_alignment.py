@@ -1,9 +1,11 @@
 import csv
+import time
 
 import numpy as np
 import pytest
 
-from lingualchemy.alignment import (AlignmentFit, ClosedForm, GradientDescent,
+from lingualchemy.alignment import (GD_CLIP_NORM, GD_ITERS, GD_LR, GD_SEED,
+                                    AlignmentFit, ClosedForm, GradientDescent,
                                     SentenceRepSet, align_representations,
                                     collect_sentence_reps, export_alignment_pca,
                                     export_alignment_report, fit_alignment,
@@ -112,6 +114,73 @@ class TestFitGradientDescent:
         f1 = fit_alignment(data, GradientDescent())
         f2 = fit_alignment(data, GradientDescent())
         np.testing.assert_array_equal(f1.weight, f2.weight)
+
+    @pytest.mark.parametrize("n, d_rep, d_out, offset", [
+        (400, 8, 5, 0.0),      # criterion 6's data
+        (2496, 32, 6, 100.0),  # the default align shape, far from the origin
+        (50, 32, 4, 0.0),      # fewer rows than columns
+    ])
+    def test_matches_per_row_loop(self, n, d_rep, d_out, offset):
+        data, _, _ = random_affine_data(np.random.default_rng(6), n=n,
+                                        d_rep=d_rep, d_out=d_out, noise=0.01)
+        data.reps += offset
+        w_ref, b_ref = per_row_descent(data.reps, data.targets)
+        fit = fit_alignment(data, GradientDescent())
+        for got, ref in ((fit.weight, w_ref), (fit.bias, b_ref)):
+            assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_cost_does_not_grow_with_rows(self):
+        data, _, _ = random_affine_data(np.random.default_rng(7), n=100_000,
+                                        d_rep=8, d_out=5, noise=0.1)
+        t0 = time.perf_counter()
+        fit = fit_alignment(data, GradientDescent())
+        assert time.perf_counter() - t0 < 2.0
+        assert fit.r_squared > 0.9
+
+
+def per_row_descent(x, y):
+    """The descent fit as a pass over every row per iteration: the oracle."""
+    n, d_rep = x.shape
+    rng = np.random.default_rng(GD_SEED)
+    w = rng.uniform(-0.01, 0.01, size=(y.shape[1], d_rep))
+    b = rng.uniform(-0.01, 0.01, size=y.shape[1])
+    for _ in range(GD_ITERS):
+        resid = x @ w.T + b - y
+        gw = 2.0 / n * resid.T @ x
+        gb = 2.0 / n * resid.sum(axis=0)
+        norm = np.sqrt((gw ** 2).sum() + (gb ** 2).sum())
+        if norm > GD_CLIP_NORM:
+            gw, gb = gw * (GD_CLIP_NORM / norm), gb * (GD_CLIP_NORM / norm)
+        w = w - GD_LR * gw
+        b = b - GD_LR * gb
+    return w, b
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", [ClosedForm(), ClosedForm(ridge=0.0),
+                                    GradientDescent()])
+class TestNonFiniteInput:
+    def test_nan_reps(self, rng, method):
+        data, _, _ = random_affine_data(rng, n=40)
+        data.reps[3, 1] = np.nan
+        with pytest.raises(NumericError, match="reps hold 1 non-finite"):
+            fit_alignment(data, method)
+
+    def test_inf_targets(self, rng, method):
+        data, _, _ = random_affine_data(rng, n=40)
+        data.targets[:2, 0] = np.inf
+        with pytest.raises(NumericError, match="targets hold 2 non-finite"):
+            fit_alignment(data, method)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", [ClosedForm(), GradientDescent()])
+def test_overflowing_reps_raise(rng, method):
+    # finite entries whose squares overflow float64
+    data, _, _ = random_affine_data(rng, n=40)
+    data.reps *= 1e200
+    with pytest.raises(NumericError, match="overflow float64"):
+        fit_alignment(data, method)
 
 
 class TestAlignRepresentations:

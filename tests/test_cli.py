@@ -3,8 +3,10 @@ import shutil
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lingualchemy.autodiff import load_checkpoint, save_checkpoint
 from lingualchemy.cli import main
 from lingualchemy.harness import ExperimentConfig
 
@@ -242,6 +244,16 @@ class TestCorruptRunDir:
         (run / "checkpoint.lalc").write_bytes(b"not a checkpoint")
         assert run_cli("eval", "--run-dir", str(run)) == 3
         assert "bad checkpoint magic" in capsys.readouterr().err
+
+    def test_nan_parameter_align_is_4(self, tmp_path, trained_run, capsys):
+        run = self._copy(trained_run, tmp_path)
+        weights = load_checkpoint(run / "checkpoint.lalc")
+        name = next(iter(weights))
+        weights[name].flat[0] = np.nan
+        save_checkpoint(run / "checkpoint.lalc", weights.items())
+        assert run_cli("--out", str(tmp_path / "aligned"), "align",
+                       "--run-dir", str(run)) == 4
+        assert "numeric failure: alignment reps hold" in capsys.readouterr().err
 
     def test_malformed_vocab_is_3(self, tmp_path, trained_run, capsys):
         run = self._copy(trained_run, tmp_path)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import resource
 import xml.etree.ElementTree as ET
@@ -24,6 +25,11 @@ from lingualchemy.uriel import ALL_FEATURE_SETS, FeatureSet
 FAST = dict(n_langs=6, n_families=3, n_per_lang=40, n_classes=3,
             epochs=2, batch_size=16, seeds=(1, 2), d_model=16, max_seq_len=16,
             out_dir="unused")
+
+
+# sha256 of every default example's (lang, label, tokens, split) and the vocab
+DEFAULT_CORPUS_SHA256 = (
+    "e90981d72eaa11f00b850da0ec02ac8e859f87e1dfa9e76047222c770ca77fef")
 
 
 def fast_cfg(**overrides):
@@ -149,6 +155,16 @@ class TestPrepareBenchmark:
                          if e.lang in bench.unseen for t in e.tokens}
         assert any(t not in bench.corpus.vocab.token_to_id
                    for t in unseen_tokens)
+
+    def test_default_corpus_digest_pinned(self):
+        """The default synthetic corpus and vocab, down to every token."""
+        bench = prepare_benchmark(ExperimentConfig())
+        h = hashlib.sha256()
+        for e in bench.corpus.examples:
+            h.update(repr((e.lang, e.label, e.tokens, e.split)).encode())
+        h.update(repr(sorted(bench.corpus.vocab.token_to_id.items())).encode())
+        assert len(bench.corpus.examples) == 3600
+        assert h.hexdigest() == DEFAULT_CORPUS_SHA256
 
 
 class TestUnkMasking:
