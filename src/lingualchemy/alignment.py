@@ -9,6 +9,7 @@ iterative path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -168,17 +169,21 @@ def _fit_gradient_descent(x: np.ndarray, y: np.ndarray):
     rng = np.random.default_rng(GD_SEED)
     w = rng.uniform(-0.01, 0.01, size=(d_out, d_rep))
     b = rng.uniform(-0.01, 0.01, size=d_out)
-    for _ in range(GD_ITERS):
-        gw = 2.0 / n * (w @ gram + np.outer(b, x_sum) - yx)
-        gb = 2.0 / n * (w @ x_sum + n * b - y_sum)
-        norm = np.sqrt((gw ** 2).sum() + (gb ** 2).sum())
-        if norm > GD_CLIP_NORM:
-            factor = GD_CLIP_NORM / norm
-            gw, gb = gw * factor, gb * factor
-        w = w - GD_LR * gw
-        b = b - GD_LR * gb
-    if not (np.isfinite(w).all() and np.isfinite(b).all()):
-        raise NumericError("gradient descent ended in a non-finite fit")
+    # finite statistics can still overflow the clip's norm; a finite norm
+    # keeps every step, and so the fit, finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(GD_ITERS):
+            gw = 2.0 / n * (w @ gram + np.outer(b, x_sum) - yx)
+            gb = 2.0 / n * (w @ x_sum + n * b - y_sum)
+            norm = np.sqrt((gw ** 2).sum() + (gb ** 2).sum())
+            if not math.isfinite(norm):
+                raise NumericError("descent gradient norm overflows float64; "
+                                   "rescale the representations")
+            if norm > GD_CLIP_NORM:
+                factor = GD_CLIP_NORM / norm
+                gw, gb = gw * factor, gb * factor
+            w = w - GD_LR * gw
+            b = b - GD_LR * gb
     return w, b
 
 

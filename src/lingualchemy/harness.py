@@ -12,6 +12,7 @@ import hashlib
 import math
 import os
 import shutil
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -26,8 +27,10 @@ from .autodiff import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, TokenBatch
 from .errors import ConfigError, DataError, read_text_lines, write_csv
 from .synthlang import (UNK_ID, Corpus, Example, Vocab, generate_corpus,
-                        generate_languages, read_corpus_tsv, tokenize)
-from .uriel import ALL_FEATURE_SETS, FeatureSet, UrielStore, load_uriel_tsv
+                        generate_languages, read_corpus_tsv, tokenize,
+                        write_corpus_tsv)
+from .uriel import (ALL_FEATURE_SETS, FeatureSet, UrielStore, load_uriel_tsv,
+                    write_uriel_tsv)
 
 SCALING_MODES = ("constant", "alchemy_scale", "alchemy_tune")
 SWEEP_FACTORS = (0.0, 10.0, 25.0, 50.0, 100.0)
@@ -302,9 +305,9 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
     if cfg.corpus and not cfg.seen:
         raise ConfigError("seen languages must be listed when using your own corpus")
     if cfg.corpus:
+        examples = read_corpus_tsv(cfg.corpus, split_seed=cfg.gen_seed)
         store = load_uriel_tsv({fs: Path(cfg.store_dir) / f"{fs.value}.tsv"
                                 for fs in cfg.feature_sets})
-        examples = read_corpus_tsv(cfg.corpus, split_seed=cfg.gen_seed)
         bad = [e for e in examples if not 0 <= e.label < cfg.n_classes]
         if bad:
             raise DataError(f"{cfg.corpus}: language {bad[0].lang} has class label "
@@ -413,8 +416,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     The unseen evaluation uses model outputs alone; no linguistic vector is
     consulted after training. With ``persist`` the run directory receives
     report.csv, trace.csv and plot.svg (``export_report``), config.resolved,
-    which reruns this seed alone, vocab.tsv and a checkpoint; ``load_run``
-    reads it back. Partial outputs are removed if the run fails.
+    which reruns this seed alone, vocab.tsv, a checkpoint, and the data the
+    run trained and evaluated on: corpus.tsv (every example in order, with
+    its split) and store/ (the feature store). ``load_run`` reads it back.
+    Partial outputs are removed if the run fails.
     """
     seed = cfg.seeds[0] if seed is None else seed
     bench = benchmark if benchmark is not None else prepare_benchmark(cfg)
@@ -450,6 +455,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
             (run_dir / "config.resolved").write_text(serialize_config(resolved),
                                                      encoding="utf-8")
             bench.corpus.vocab.save(run_dir / "vocab.tsv")
+            write_corpus_tsv(bench.corpus, run_dir / "corpus.tsv")
+            write_uriel_tsv(bench.store, run_dir / "store")
             save_checkpoint(run_dir / "checkpoint.lalc", model.named_parameters())
         except BaseException:
             shutil.rmtree(run_dir, ignore_errors=True)
@@ -458,12 +465,19 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
 
 
 def load_run(run_dir) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
-    """The config (its config.resolved), benchmark (its corpus on vocab.tsv)
-    and trained model of a directory that ``run_experiment`` persisted; the
-    checkpoint must name and shape every parameter."""
+    """The config (its config.resolved), benchmark and trained model of a
+    directory that ``run_experiment`` persisted; the checkpoint must name and
+    shape every parameter.
+
+    The benchmark is the run's own corpus.tsv and store/, read as user data
+    (``prepare_benchmark``'s label and language checks included) and put on
+    vocab.tsv; the config's ``corpus`` and ``store_dir`` are not read, and
+    nothing is regenerated. A directory without corpus.tsv raises ``OSError``.
+    """
     run_dir = Path(run_dir)
     cfg = parse_config(run_dir / "config.resolved")
-    bench = prepare_benchmark(cfg)
+    bench = prepare_benchmark(replace(cfg, corpus=str(run_dir / "corpus.tsv"),
+                                      store_dir=str(run_dir / "store")))
     vocab = Vocab.load(run_dir / "vocab.tsv")
     model = build_model(cfg, len(vocab), bench.store.vector_dim(cfg.feature_sets),
                         cfg.seeds[0])
@@ -574,14 +588,26 @@ def _pool_width(cfg: ExperimentConfig, n_jobs: int) -> int:
     return max(1, min(width, n_jobs))
 
 
+def _with_progress(values, n: int) -> list[float]:
+    """``values`` as a list, with one stderr line as each one arrives."""
+    out = []
+    for i, value in enumerate(values, start=1):
+        print(f"sweep cell {i}/{n}: unseen mean {value:.4f}", file=sys.stderr,
+              flush=True)
+        out.append(value)
+    return out
+
+
 def _run_cells(cfg: ExperimentConfig, bench: Benchmark, jobs: list) -> list[float]:
-    """Unseen means of the ``(cfg, seed)`` jobs, all on ``bench``."""
+    """Unseen means of the ``(cfg, seed)`` jobs, all on ``bench``; each
+    finished cell writes a progress line to stderr, in job order."""
     width = _pool_width(cfg, len(jobs))
     if width == 1:
-        return [_run_cell(vcfg, seed, bench) for vcfg, seed in jobs]
+        return _with_progress((_run_cell(vcfg, seed, bench) for vcfg, seed in jobs),
+                              len(jobs))
     with ProcessPoolExecutor(max_workers=width, initializer=_set_worker_benchmark,
                              initargs=(bench,)) as pool:
-        return list(pool.map(_run_worker_cell, jobs))
+        return _with_progress(pool.map(_run_worker_cell, jobs), len(jobs))
 
 
 def _sweep_benchmark(cfg: ExperimentConfig) -> Benchmark:

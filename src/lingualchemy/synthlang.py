@@ -17,6 +17,7 @@ makes unseen-language generalization measurable.
 
 from __future__ import annotations
 
+import sys
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -415,39 +416,55 @@ def unk_rate(corpus: Corpus, vocab: Vocab) -> dict[str, float]:
 
 
 def write_corpus_tsv(corpus: Corpus, path) -> None:
+    """One ``lang<TAB>label<TAB>tokens<TAB>split`` line per example, in order;
+    :func:`read_corpus_tsv` reads it back."""
     with open(path, "w", encoding="utf-8") as fh:
         for e in corpus.examples:
-            fh.write(f"{e.lang}\t{e.label}\t{' '.join(e.tokens)}\n")
+            fh.write(f"{e.lang}\t{e.label}\t{' '.join(e.tokens)}\t{e.split}\n")
 
 
 def read_corpus_tsv(path, split_seed: int = 0) -> list[Example]:
     """Generic ingester: ``lang<TAB>label<TAB>space-joined tokens`` per line,
-    the label an integer class index.
+    the label an integer class index, optionally followed by ``<TAB>split``
+    (one of ``SPLITS``); every row has the same number of cells.
 
-    Split assignment is deterministic per language and stratified by label,
-    mirroring the synthetic generator.
+    Examples come grouped by language, languages sorted, each in file order.
+    A file with a split column keeps its splits. Otherwise split assignment
+    is deterministic per language and stratified by label, mirroring the
+    synthetic generator. Equal tokens share one string object.
     """
-    raw: list[tuple[str, int, tuple[str, ...]]] = []
+    raw: list[tuple[str, int, tuple[str, ...], str | None]] = []
+    width = None
     for line_no, line in enumerate(read_text_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         cells = line.split("\t")
-        if len(cells) != 3:
-            raise TsvFormatError(path, line_no, f"expected 3 columns, got {len(cells)}")
-        lang, label_s, text = cells
+        width = width or len(cells)
+        if len(cells) != width or width not in (3, 4):
+            expected = width if width in (3, 4) else "3 or 4"
+            raise TsvFormatError(path, line_no,
+                                 f"expected {expected} columns, got {len(cells)}")
+        lang, label_s, text, *split = cells
         try:
             label = int(label_s)
         except ValueError:
             raise TsvFormatError(path, line_no, f"bad label {label_s!r}") from None
-        raw.append((lang, label, tuple(text.split())))
+        if split and split[0] not in SPLITS:
+            raise TsvFormatError(path, line_no, f"split {split[0]!r} is not one "
+                                 f"of {', '.join(SPLITS)}")
+        raw.append((sys.intern(lang), label, tuple(map(sys.intern, text.split())),
+                    sys.intern(split[0]) if split else None))
     if not raw:
         raise DataError(f"{path}: empty corpus")
 
     examples: list[Example] = []
     for lang in sorted({r[0] for r in raw}):
         rows = [r for r in raw if r[0] == lang]
-        rng = np.random.default_rng([split_seed, zlib.crc32(lang.encode("utf-8"))])
-        splits = _assign_splits(rng, [r[1] for r in rows])
-        for (l, label, toks), split in zip(rows, splits):
+        if width == 3:
+            rng = np.random.default_rng([split_seed, zlib.crc32(lang.encode("utf-8"))])
+            splits = _assign_splits(rng, [r[1] for r in rows])
+        else:
+            splits = [r[3] for r in rows]
+        for (l, label, toks, _), split in zip(rows, splits):
             examples.append(Example(lang=l, label=label, tokens=toks, split=split))
     return examples

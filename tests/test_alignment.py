@@ -183,6 +183,18 @@ def test_overflowing_reps_raise(rng, method):
         fit_alignment(data, method)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e100, 1e150])
+def test_overflowing_descent_norm_raises(rng, scale):
+    # the statistics stay finite, the clip's squared gradient norm does not
+    data, _, _ = random_affine_data(rng, n=40)
+    data.reps *= scale
+    with pytest.raises(NumericError, match="gradient norm overflows float64; "
+                                           "rescale the representations"):
+        fit_alignment(data, GradientDescent())
+    assert fit_alignment(data, ClosedForm()).r_squared > 0.99
+
+
 class TestAlignRepresentations:
     def test_zero_weight_returns_bias(self):
         fit = AlignmentFit(weight=np.zeros((3, 2)), bias=np.array([1.0, 2.0, 3.0]),

@@ -131,8 +131,8 @@ class TestExitCodes:
         corpus = gen / "corpus.tsv"
         lines = corpus.read_text(encoding="utf-8").splitlines()
         for i in range(5):
-            lang, _, text = lines[i].split("\t")
-            lines[i] = f"{lang}\t{label}\t{text}"
+            lang, _, rest = lines[i].split("\t", 2)  # rest: tokens and split
+            lines[i] = f"{lang}\t{label}\t{rest}"
         corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
         seen = (gen / "languages.txt").read_text(encoding="utf-8").split()[1]
         user_cfg = tmp_path / "user.cfg"
@@ -218,6 +218,50 @@ class TestTrainEvalAlign:
                             (out / "alignment_pca.csv").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_eval_and_align_never_regenerate_the_corpus(self, tmp_path,
+                                                         trained_run,
+                                                         monkeypatch):
+        import lingualchemy.harness as harness
+        from lingualchemy.harness import load_run, parse_config, prepare_benchmark
+
+        trained = prepare_benchmark(parse_config(trained_run / "config.resolved"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the synthetic benchmark was regenerated")
+
+        monkeypatch.setattr(harness, "generate_corpus", refuse)
+        monkeypatch.setattr(harness, "generate_languages", refuse)
+        out = tmp_path / "out"
+        assert run_cli("--out", str(out), "eval", "--run-dir", str(trained_run)) == 0
+        assert run_cli("--out", str(out), "align", "--run-dir", str(trained_run)) == 0
+        cfg, bench, _ = load_run(trained_run)
+        assert bench.corpus.examples == trained.corpus.examples
+        assert (bench.seen, bench.unseen) == (trained.seen, trained.unseen)
+        langs = bench.seen + bench.unseen
+        np.testing.assert_array_equal(
+            bench.store.target_matrix(langs, cfg.feature_sets),
+            trained.store.target_matrix(langs, cfg.feature_sets))
+
+    def test_gen_files_reproduce_the_synthetic_run(self, tmp_path):
+        synthetic = tmp_path / "synthetic.cfg"
+        text = (FAST_CFG.replace("epochs = 2", "epochs = 1")
+                .replace("n_langs = 6", "n_langs = 9"))
+        synthetic.write_text(text, encoding="utf-8")
+        gen = tmp_path / "gen"
+        assert run_cli("--config", str(synthetic), "--out", str(gen), "gen") == 0
+        seen, unseen = [line.split()[1] for line in (gen / "languages.txt")
+                        .read_text(encoding="utf-8").splitlines()]
+        user = tmp_path / "user.cfg"
+        user.write_text(text + f"store_dir = {gen / 'store'}\n"
+                        f"corpus = {gen / 'corpus.tsv'}\n"
+                        f"seen = {seen}\nunseen = {unseen}\n", encoding="utf-8")
+        for cfg in (synthetic, user):
+            assert run_cli("--config", str(cfg), "--out",
+                           str(tmp_path / cfg.stem), "train") == 0
+        for name in ("report.csv", "trace.csv"):
+            assert (tmp_path / "synthetic" / name).read_bytes() == \
+                   (tmp_path / "user" / name).read_bytes(), name
+
     def test_report_csv_schema(self, tmp_path, cfg_file):
         out = tmp_path / "run2"
         run_cli("--config", str(cfg_file), "--out", str(out), "train")
@@ -254,6 +298,26 @@ class TestCorruptRunDir:
         assert run_cli("--out", str(tmp_path / "aligned"), "align",
                        "--run-dir", str(run)) == 4
         assert "numeric failure: alignment reps hold" in capsys.readouterr().err
+
+    def test_missing_corpus_is_3(self, tmp_path, trained_run, capsys):
+        # run directories written before the run kept its data have none
+        run = self._copy(trained_run, tmp_path)
+        (run / "corpus.tsv").unlink()
+        assert run_cli("eval", "--run-dir", str(run)) == 3
+        assert str(run / "corpus.tsv") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cells: cells[:3] + ["bogus"], "split 'bogus' is not one of"),
+        (lambda cells: cells + ["extra"], "expected 4 columns, got 5")],
+        ids=["bogus_split", "five_columns"])
+    def test_bad_corpus_row_is_3(self, tmp_path, trained_run, capsys, edit,
+                                 message):
+        run = self._copy(trained_run, tmp_path)
+        lines = (run / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+        lines[2] = "\t".join(edit(lines[2].split("\t")))
+        (run / "corpus.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("eval", "--run-dir", str(run)) == 3
+        assert f"{run / 'corpus.tsv'}:3: {message}" in capsys.readouterr().err
 
     def test_malformed_vocab_is_3(self, tmp_path, trained_run, capsys):
         run = self._copy(trained_run, tmp_path)

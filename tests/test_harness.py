@@ -259,6 +259,21 @@ class TestRunExperiment:
                 values[:] = 999.0
         assert evaluate_languages(model, bench, cfg) == before
 
+    def test_load_run_reads_the_runs_own_benchmark(self, tmp_path, monkeypatch):
+        import lingualchemy.harness as hmod
+
+        cfg = fast_cfg(n_langs=9, n_families=3, epochs=0)
+        trained = prepare_benchmark(cfg)
+        run_experiment(cfg, seed=1, run_dir=tmp_path / "run", benchmark=trained)
+        monkeypatch.setattr(hmod, "generate_corpus", None)
+        monkeypatch.setattr(hmod, "generate_languages", None)
+        loaded_cfg, bench, _ = load_run(tmp_path / "run")
+        assert loaded_cfg.corpus == loaded_cfg.store_dir == ""
+        assert bench.corpus.examples == trained.corpus.examples
+        assert bench.store == trained.store
+        assert (bench.seen, bench.unseen) == (trained.seen, trained.unseen)
+        assert bench.corpus.vocab == trained.corpus.vocab
+
     def test_failed_run_removes_partial_outputs(self, tmp_path, monkeypatch):
         cfg = fast_cfg(out_dir=str(tmp_path / "broken"))
         import lingualchemy.harness as hmod
@@ -323,6 +338,20 @@ class TestSweepConsistency:
         pooled = scaling_sweep(replace(cfg, threads=2))
         assert [(r.label, r.per_seed) for r in sequential] == \
                [(r.label, r.per_seed) for r in pooled]
+
+
+class TestSweepProgress:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_stderr_line_per_finished_cell(self, capsys, threads):
+        from lingualchemy.harness import scaling_sweep
+
+        cfg = fast_cfg(n_langs=9, n_families=3, n_per_lang=24, epochs=0,
+                       seeds=(1, 2), threads=threads)
+        rows = scaling_sweep(cfg)
+        values = [value for row in rows for _, value in row.per_seed]
+        assert capsys.readouterr().err.splitlines() == [
+            f"sweep cell {i}/14: unseen mean {value:.4f}"
+            for i, value in enumerate(values, start=1)]
 
 
 class TestSweepBenchmarkReuse:

@@ -232,6 +232,37 @@ class TestCorpusTsv:
         with pytest.raises(Exception, match="2"):
             read_corpus_tsv(path)
 
+    def test_split_column_round_trip(self, tmp_path):
+        specs, _ = generate_languages(4, 2, seed=0)
+        corpus = generate_corpus(specs, 20, 3, seed=1)
+        path = tmp_path / "corpus.tsv"
+        write_corpus_tsv(corpus, path)
+        examples = read_corpus_tsv(path, split_seed=3)
+        assert examples == corpus.examples
+        first = {}
+        for e in examples:
+            for tok in e.tokens:
+                assert first.setdefault(tok, tok) is tok  # one object per token
+
+    def test_three_columns_get_seeded_splits(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("".join(f"aa\t{i % 2}\tx{i} y\n" for i in range(20)),
+                        encoding="utf-8")
+        e1 = read_corpus_tsv(path, split_seed=3)
+        assert e1 == read_corpus_tsv(path, split_seed=3)
+        assert [e.split for e in e1].count("train") == 14
+
+    @pytest.mark.parametrize("text, message", [
+        ("aa\t0\tx\ttrain\naa\t1\ty\n", ":2: expected 4 columns, got 3"),
+        ("aa\t0\tx\nbb\t1\ty\ttest\n", ":2: expected 3 columns, got 4"),
+        ("aa\t0\tx\ttrain\textra\n", ":1: expected 3 or 4 columns, got 5"),
+        ("aa\t0\tx\ttrain\naa\t1\ty\tbogus\n", ":2: split 'bogus' is not one of")])
+    def test_malformed_rows_name_their_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TsvFormatError, match=message):
+            read_corpus_tsv(path)
+
     def test_split_assignment_deterministic(self, tmp_path):
         specs, _ = generate_languages(4, 2, seed=0)
         corpus = generate_corpus(specs, 20, 3, seed=1)
