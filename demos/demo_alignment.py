@@ -11,14 +11,16 @@ from pathlib import Path
 import numpy as np
 
 from lingualchemy import (ALL_FEATURE_SETS, ClosedForm, ConstantScaling,
-                          EncoderConfig, GradientDescent, align_representations,
-                          collect_sentence_reps, fit_alignment, generate_corpus,
-                          generate_languages, init_alchemy_model, train_loop)
+                          EncoderConfig, ExperimentConfig, GradientDescent,
+                          align_representations, collect_sentence_reps,
+                          fit_alignment, init_alchemy_model, train_loop)
 from lingualchemy.alignment import export_alignment_pca
-from lingualchemy.harness import make_token_batch
+from lingualchemy.harness import make_token_batch, prepare_benchmark
 
-specs, store = generate_languages(8, 4, seed=1)
-corpus = generate_corpus(specs, n_per_lang=60, n_classes=4, seed=1)
+# 8 languages in 4 families, all seen
+bench = prepare_benchmark(ExperimentConfig(n_langs=8, n_families=4,
+                                           n_per_lang=60, gen_seed=1))
+corpus, store = bench.corpus, bench.store
 train = corpus.subset("train").examples
 
 cfg = EncoderConfig(vocab_size=len(corpus.vocab), d_model=32, seed=1)

@@ -8,13 +8,15 @@ weights under a drift penalty on their sum.
 import numpy as np
 
 from lingualchemy import (ALL_FEATURE_SETS, AlchemyScale, AlchemyTune,
-                          ConstantScaling, EncoderConfig, generate_corpus,
-                          generate_languages, init_alchemy_model)
+                          ConstantScaling, EncoderConfig, ExperimentConfig,
+                          init_alchemy_model)
 from lingualchemy.alchemy import iterate_batches, make_optimizer, train_step
-from lingualchemy.harness import make_token_batch
+from lingualchemy.harness import make_token_batch, prepare_benchmark
 
-specs, store = generate_languages(8, 4, seed=0)
-corpus = generate_corpus(specs, n_per_lang=60, n_classes=4, seed=0)
+# 8 languages in 4 families, all seen
+bench = prepare_benchmark(ExperimentConfig(n_langs=8, n_families=4,
+                                           n_per_lang=60, gen_seed=0))
+corpus, store = bench.corpus, bench.store
 train = corpus.subset("train").examples
 
 for scaling in (ConstantScaling(10.0), AlchemyScale(), AlchemyTune()):

@@ -7,8 +7,9 @@ when the vocabulary only covers the seen languages.
 
 import numpy as np
 
-from lingualchemy import (ALL_FEATURE_SETS, generate_corpus,
+from lingualchemy import (ALL_FEATURE_SETS, ExperimentConfig,
                           generate_languages, unk_rate)
+from lingualchemy.harness import prepare_benchmark
 
 specs, store = generate_languages(12, 4, seed=0)
 
@@ -35,10 +36,10 @@ for a in specs:
 print(f"\nmean in-family distance  {d_in / n_in:.3f}")
 print(f"mean cross-family distance {d_out / n_out:.3f}")
 
-# one concept, many realizations
-seen = [s.lang for s in specs[:8]]
-corpus = generate_corpus(specs, n_per_lang=50, n_classes=4, seed=0,
-                         vocab_langs=seen)
+# one concept, many realizations; the benchmark over the same 12 languages
+# builds its vocabulary from the 8 seen languages' train text
+bench = prepare_benchmark(ExperimentConfig(n_per_lang=50, gen_seed=0))
+corpus, seen = bench.corpus, bench.seen
 print("\nthe same label class rendered by three languages:")
 for lang in ("syn00", "syn04", "syn08"):
     ex = next(e for e in corpus.examples if e.lang == lang and e.label == 2)

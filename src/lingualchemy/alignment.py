@@ -95,11 +95,6 @@ def r_squared(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(1.0 - ss_res[defined] / ss_tot[defined]))
 
 
-def _row_mse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Same convention as the training loss: row square-sums averaged over N."""
-    return float(((pred - target) ** 2).sum() / len(pred))
-
-
 def fit_alignment(data: SentenceRepSet,
                   method: ClosedForm | GradientDescent = ClosedForm()) -> AlignmentFit:
     """Fit targets ~= W @ rep + b by the requested method.
@@ -121,7 +116,7 @@ def fit_alignment(data: SentenceRepSet,
     pred = x @ w.T + b
     return AlignmentFit(weight=w, bias=b,
                         r_squared=r_squared(pred, y),
-                        residual_mse=_row_mse(pred, y),
+                        residual_mse=ad.mse(ad.Tensor(pred), ad.Tensor(y)).item(),
                         method=method)
 
 

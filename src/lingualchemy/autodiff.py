@@ -2,8 +2,9 @@
 
 Small by design: rank <= 3 tensors, the exact op set the encoder and the
 training losses need, and a tape built implicitly through parent links.
-Gradients accumulate into ``.grad`` until explicitly zeroed; each call to
-:func:`backward` contributes one full pass (PyTorch-style semantics).
+Gradients accumulate into the ``.grad`` of leaf tensors until explicitly
+zeroed; each call to :func:`backward` contributes one full pass, and
+intermediate results keep no gradient (PyTorch-style semantics).
 """
 
 from __future__ import annotations
@@ -90,30 +91,31 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor feeding loss.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf tensor (one
+    without a backward rule) that requires grad and feeds ``loss``.
 
-    The per-pass flow is kept separate from the accumulated ``.grad`` so
-    repeated calls without zeroing add one full gradient each time.
+    One pass in reverse topological order: a node's flow is complete when it
+    is reached, and it is dropped once passed on to the node's parents, or
+    added to ``.grad`` at a leaf. Intermediate results never get ``.grad``.
+    Repeated calls without zeroing add one full gradient each time.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    order = _topo_order(loss)
     flow: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
-    for node in reversed(order):
-        g = flow.get(id(node))
-        if g is None or node._vjp is None:
+    for node in reversed(_topo_order(loss)):
+        g = flow.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is None:
+            if node.requires_grad:
+                # flow arrays are never mutated afterwards, so sharing is safe
+                node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             acc = flow.get(id(parent))
             flow[id(parent)] = pg if acc is None else acc + pg
-    for node in order:
-        g = flow.get(id(node))
-        if g is None or not node.requires_grad:
-            continue
-        # flow arrays are never mutated afterwards, so sharing is safe here
-        node.grad = g if node.grad is None else node.grad + g
 
 
 # ---------------------------------------------------------------------------

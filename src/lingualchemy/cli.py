@@ -1,13 +1,14 @@
 """Command-line entry point.
 
-Subcommands: gen, train, eval, align, sweep-scale, sweep-features,
-family-gen. Exit codes: 0 success, 2 configuration error, 3 data error
-(a file that cannot be read or written included), 4 numeric failure.
+Subcommands are the rows of ``_COMMANDS``. Exit codes: 0 success,
+2 configuration error, 3 data error (a file that cannot be read or written
+included), 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,9 +19,7 @@ from .harness import (ExperimentConfig, ablation_sweep, config_items,
                       eval_batches, evaluate_languages, export_sweep,
                       family_split_experiment, load_run, parse_config,
                       prepare_benchmark, run_experiment, scaling_sweep,
-                      svg_line_chart)
-from .synthlang import write_corpus_tsv
-from .uriel import write_uriel_tsv
+                      svg_line_chart, write_benchmark)
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 
@@ -40,14 +39,11 @@ def cmd_gen(args) -> int:
     cfg = _load_config(args)
     bench = prepare_benchmark(cfg)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_uriel_tsv(bench.store, out / "store")
-    write_corpus_tsv(bench.corpus, out / "corpus.tsv")
-    bench.corpus.vocab.save(out / "vocab.tsv")
+    written = write_benchmark(bench, out)
     (out / "languages.txt").write_text(
         "seen: " + ",".join(bench.seen) + "\n" +
         "unseen: " + ",".join(bench.unseen) + "\n", encoding="utf-8")
-    print(f"wrote store/, corpus.tsv, vocab.tsv under {out}")
+    print(f"wrote {', '.join(written)} under {out}")
     return 0
 
 
@@ -132,7 +128,24 @@ def cmd_family_gen(args) -> int:
     return 0
 
 
+# One row per subcommand: its name, the name of its handler in this module,
+# its help, and whether it reads a run directory. Handlers are looked up when
+# a command runs, so replacing one on the module takes effect.
+_COMMANDS = (
+    ("gen", "cmd_gen", "generate synthetic languages, store and corpus", False),
+    ("train", "cmd_train", "train one model and report metrics", False),
+    ("eval", "cmd_eval", "evaluate a saved checkpoint", True),
+    ("align", "cmd_align", "fit the representation alignment map", True),
+    ("sweep-scale", "cmd_sweep_scale", "run the loss-scaling sweep", False),
+    ("sweep-features", "cmd_sweep_features", "run the feature-set ablation", False),
+    ("family-gen", "cmd_family_gen", "run the cumulative family-split protocol",
+     False),
+)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command line, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lingualchemy",
         description="Typology-regularized multilingual classification "
@@ -145,36 +158,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="override output directory")
     parser.add_argument("--threads", type=int, help="worker pool width for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("gen", help="generate synthetic languages, store and corpus")
-    sub.add_parser("train", help="train one model and report metrics")
-    p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
-    p_eval.add_argument("--run-dir", required=True,
-                        help="directory produced by train")
-    p_align = sub.add_parser("align", help="fit the representation alignment map")
-    p_align.add_argument("--run-dir", required=True,
-                         help="directory produced by train")
-    sub.add_parser("sweep-scale", help="run the loss-scaling sweep")
-    sub.add_parser("sweep-features", help="run the feature-set ablation")
-    sub.add_parser("family-gen", help="run the cumulative family-split protocol")
+    for name, handler, help_text, reads_run_dir in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        if reads_run_dir:
+            command.add_argument("--run-dir", required=True,
+                                 help="directory produced by train")
     return parser
-
-
-_COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "align": cmd_align,
-    "sweep-scale": cmd_sweep_scale,
-    "sweep-features": cmd_sweep_features,
-    "family-gen": cmd_family_gen,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return globals()[args.handler](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

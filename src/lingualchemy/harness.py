@@ -9,6 +9,7 @@ equals an independent run with the same configuration and seed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import shutil
@@ -299,7 +300,12 @@ def _default_split(langs: list[str], n_families: int):
 
 
 def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
-    """Load user-supplied files or generate the synthetic default."""
+    """Load user-supplied files or generate the synthetic default.
+
+    Both kinds of data then take one path: labels are checked, the default
+    split applies, every listed language must be in the corpus and the
+    store, and the vocabulary is built from the seen languages' train text.
+    """
     if bool(cfg.corpus) != bool(cfg.store_dir):
         raise ConfigError("store_dir and corpus must be supplied together")
     if cfg.corpus and not cfg.seen:
@@ -308,14 +314,15 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
         examples = read_corpus_tsv(cfg.corpus, split_seed=cfg.gen_seed)
         store = load_uriel_tsv({fs: Path(cfg.store_dir) / f"{fs.value}.tsv"
                                 for fs in cfg.feature_sets})
-        bad = [e for e in examples if not 0 <= e.label < cfg.n_classes]
-        if bad:
-            raise DataError(f"{cfg.corpus}: language {bad[0].lang} has class label "
-                            f"{bad[0].label}, outside 0..{cfg.n_classes - 1}")
-        langs = sorted({e.lang for e in examples})
     else:
         specs, store = generate_languages(cfg.n_langs, cfg.n_families, cfg.gen_seed)
-        langs = [s.lang for s in specs]
+        examples = generate_corpus(specs, cfg.n_per_lang, cfg.n_classes, cfg.gen_seed)
+    bad = [e for e in examples if not 0 <= e.label < cfg.n_classes]
+    if bad:
+        raise DataError(f"{cfg.corpus}: language {bad[0].lang} has class label "
+                        f"{bad[0].label}, outside 0..{cfg.n_classes - 1}")
+    # generated codes are zero-padded, so sorting keeps their spec order
+    langs = sorted({e.lang for e in examples})
     seen, unseen = cfg.seen, cfg.unseen
     if not seen:
         default_seen, default_unseen = _default_split(langs, cfg.n_families)
@@ -328,16 +335,27 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
     absent = sorted((set(seen) | set(unseen)) - store_langs)
     if absent:
         raise DataError(f"languages missing from the store: {', '.join(absent)}")
+    vocab = Vocab.build(e.tokens for e in examples
+                        if e.split == "train" and e.lang in set(seen))
+    return Benchmark(store=store, corpus=Corpus(examples=examples, vocab=vocab),
+                     seen=tuple(seen), unseen=tuple(unseen))
 
-    if cfg.corpus:
-        vocab = Vocab.build(e.tokens for e in examples
-                            if e.split == "train" and e.lang in set(seen))
-        corpus = Corpus(examples=examples, vocab=vocab)
-    else:
-        corpus = generate_corpus(specs, cfg.n_per_lang, cfg.n_classes,
-                                 cfg.gen_seed, vocab_langs=seen)
-    return Benchmark(store=store, corpus=corpus, seen=tuple(seen),
-                     unseen=tuple(unseen))
+
+# A benchmark's data files, as ``write_benchmark`` writes them.
+STORE_NAME, CORPUS_NAME, VOCAB_NAME = "store", "corpus.tsv", "vocab.tsv"
+
+
+def write_benchmark(bench: Benchmark, directory) -> list[str]:
+    """Write ``bench``'s data under ``directory`` and return what was written:
+    the feature store (``STORE_NAME``), every example in order with its split
+    (``CORPUS_NAME``) and the vocabulary (``VOCAB_NAME``). ``load_run`` reads
+    them back."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    write_uriel_tsv(bench.store, directory / STORE_NAME)
+    write_corpus_tsv(bench.corpus.examples, directory / CORPUS_NAME)
+    bench.corpus.vocab.save(directory / VOCAB_NAME)
+    return [f"{STORE_NAME}/", CORPUS_NAME, VOCAB_NAME]
 
 
 def make_token_batch(examples: list[Example], vocab: Vocab,
@@ -416,9 +434,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     The unseen evaluation uses model outputs alone; no linguistic vector is
     consulted after training. With ``persist`` the run directory receives
     report.csv, trace.csv and plot.svg (``export_report``), config.resolved,
-    which reruns this seed alone, vocab.tsv, a checkpoint, and the data the
-    run trained and evaluated on: corpus.tsv (every example in order, with
-    its split) and store/ (the feature store). ``load_run`` reads it back.
+    which reruns this seed alone, a checkpoint, and the data the run trained
+    and evaluated on (``write_benchmark``). ``load_run`` reads it back.
     Partial outputs are removed if the run fails.
     """
     seed = cfg.seeds[0] if seed is None else seed
@@ -454,9 +471,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
             export_report(report, run_dir)
             (run_dir / "config.resolved").write_text(serialize_config(resolved),
                                                      encoding="utf-8")
-            bench.corpus.vocab.save(run_dir / "vocab.tsv")
-            write_corpus_tsv(bench.corpus, run_dir / "corpus.tsv")
-            write_uriel_tsv(bench.store, run_dir / "store")
+            write_benchmark(bench, run_dir)
             save_checkpoint(run_dir / "checkpoint.lalc", model.named_parameters())
         except BaseException:
             shutil.rmtree(run_dir, ignore_errors=True)
@@ -469,16 +484,17 @@ def load_run(run_dir) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
     directory that ``run_experiment`` persisted; the checkpoint must name and
     shape every parameter.
 
-    The benchmark is the run's own corpus.tsv and store/, read as user data
-    (``prepare_benchmark``'s label and language checks included) and put on
-    vocab.tsv; the config's ``corpus`` and ``store_dir`` are not read, and
-    nothing is regenerated. A directory without corpus.tsv raises ``OSError``.
+    The benchmark is the run's own ``write_benchmark`` files: corpus and
+    store read as user data (``prepare_benchmark``'s label and language
+    checks included), on the saved vocabulary. The config's ``corpus`` and
+    ``store_dir`` are not read, and nothing is regenerated. A directory
+    without its corpus file raises ``OSError``.
     """
     run_dir = Path(run_dir)
     cfg = parse_config(run_dir / "config.resolved")
-    bench = prepare_benchmark(replace(cfg, corpus=str(run_dir / "corpus.tsv"),
-                                      store_dir=str(run_dir / "store")))
-    vocab = Vocab.load(run_dir / "vocab.tsv")
+    bench = prepare_benchmark(replace(cfg, corpus=str(run_dir / CORPUS_NAME),
+                                      store_dir=str(run_dir / STORE_NAME)))
+    vocab = Vocab.load(run_dir / VOCAB_NAME)
     model = build_model(cfg, len(vocab), bench.store.vector_dim(cfg.feature_sets),
                         cfg.seeds[0])
     weights = load_checkpoint(run_dir / "checkpoint.lalc")
@@ -489,7 +505,7 @@ def load_run(run_dir) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
             raise DataError(f"checkpoint parameter {name!r} has shape "
                             f"{weights[name].shape}, expected {tensor.data.shape}")
         tensor.data = weights[name].astype(np.float64)
-    return cfg, replace(bench, corpus=bench.corpus.with_vocab(vocab)), model
+    return cfg, replace(bench, corpus=replace(bench.corpus, vocab=vocab)), model
 
 
 def evaluate_languages(model, bench: Benchmark,
@@ -620,46 +636,36 @@ def _sweep_benchmark(cfg: ExperimentConfig) -> Benchmark:
     return bench
 
 
+def _sweep(cfg: ExperimentConfig, bench: Benchmark, variants) -> list[SweepRow]:
+    """One row per ``(label, variant config, recommended)``, each variant run
+    on every seed of ``cfg``, all cells on ``bench``."""
+    jobs = [(vcfg, seed) for _, vcfg, _ in variants for seed in cfg.seeds]
+    values = _run_cells(cfg, bench, jobs)
+    n = len(cfg.seeds)
+    return [SweepRow(label=label, recommended=recommended,
+                     per_seed=tuple(zip(cfg.seeds, values[i * n:(i + 1) * n])))
+            for i, (label, _, recommended) in enumerate(variants)]
+
+
 def scaling_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Constant factors plus both dynamic modes, all on the same seeds."""
-    bench = _sweep_benchmark(cfg)
-    variants: list[tuple[str, ExperimentConfig]] = []
-    for factor in SWEEP_FACTORS:
-        variants.append((f"{factor:g}x",
-                         replace(cfg, scaling="constant", factor=factor)))
-    variants.append(("AlchemyScale", replace(cfg, scaling="alchemy_scale")))
-    variants.append(("AlchemyTune", replace(cfg, scaling="alchemy_tune")))
-    jobs = [(vcfg, seed) for _, vcfg in variants for seed in cfg.seeds]
-    values = _run_cells(cfg, bench, jobs)
-    rows = []
-    for i, (label, _) in enumerate(variants):
-        cells = values[i * len(cfg.seeds):(i + 1) * len(cfg.seeds)]
-        rows.append(SweepRow(label=label,
-                             per_seed=tuple(zip(cfg.seeds, cells))))
-    return rows
+    variants = [(f"{factor:g}x", replace(cfg, scaling="constant", factor=factor),
+                 False) for factor in SWEEP_FACTORS]
+    variants.append(("AlchemyScale", replace(cfg, scaling="alchemy_scale"), False))
+    variants.append(("AlchemyTune", replace(cfg, scaling="alchemy_tune"), False))
+    return _sweep(cfg, _sweep_benchmark(cfg), variants)
 
 
 def ablation_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """All seven nonempty feature-set combinations on the same seeds."""
     # one store holding every feature set serves all seven combinations
     bench = _sweep_benchmark(replace(cfg, feature_sets=ALL_FEATURE_SETS))
-    combos: list[tuple[FeatureSet, ...]] = []
-    for size in (1, 2, 3):
-        for bits in range(1, 8):
-            combo = tuple(fs for i, fs in enumerate(ALL_FEATURE_SETS)
-                          if bits >> i & 1)
-            if len(combo) == size and combo not in combos:
-                combos.append(combo)
-    jobs = [(replace(cfg, feature_sets=combo), seed)
-            for combo in combos for seed in cfg.seeds]
-    values = _run_cells(cfg, bench, jobs)
-    rows = []
-    for i, combo in enumerate(combos):
-        cells = values[i * len(cfg.seeds):(i + 1) * len(cfg.seeds)]
-        rows.append(SweepRow(label=feature_combo_label(combo),
-                             per_seed=tuple(zip(cfg.seeds, cells)),
-                             recommended=len(combo) == 3))
-    return rows
+    combos = [combo for size in range(1, len(ALL_FEATURE_SETS) + 1)
+              for combo in itertools.combinations(ALL_FEATURE_SETS, size)]
+    return _sweep(cfg, bench, [(feature_combo_label(combo),
+                                replace(cfg, feature_sets=combo),
+                                len(combo) == len(ALL_FEATURE_SETS))
+                               for combo in combos])
 
 
 def export_sweep(rows: list[SweepRow], path) -> None:

@@ -150,12 +150,6 @@ class Corpus:
         kept = [e for e in self.examples if e.lang in keep]
         return Corpus(examples=kept, vocab=self.vocab)
 
-    def languages(self) -> list[str]:
-        return sorted({e.lang for e in self.examples})
-
-    def with_vocab(self, vocab: Vocab) -> "Corpus":
-        return Corpus(examples=self.examples, vocab=vocab)
-
     def __len__(self) -> int:
         return len(self.examples)
 
@@ -355,13 +349,13 @@ def _assign_splits(rng, keys: list) -> list[str]:
     return [order[i] for i in range(len(keys))]
 
 
-def generate_corpus(specs, n_per_lang: int, n_classes: int, seed: int,
-                    vocab_langs=None) -> Corpus:
+def generate_corpus(specs, n_per_lang: int, n_classes: int,
+                    seed: int) -> list[Example]:
     """Generate a deterministic multilingual corpus over the given languages.
 
-    ``vocab_langs`` restricts vocabulary construction to those languages'
-    train-split text (defaults to all languages, which makes the training
-    split UNK-free). Labels are stratified within each language to +/-1.
+    Examples come grouped by language in ``specs`` order, with their splits;
+    labels are stratified within each language to +/-1. The vocabulary is
+    the benchmark's to build (``harness.prepare_benchmark``).
     """
     if n_per_lang < 1:
         raise ValueError("n_per_lang must be positive")
@@ -387,11 +381,7 @@ def generate_corpus(specs, n_per_lang: int, n_classes: int, seed: int,
         for (label, toks), split in zip(rows, splits):
             examples.append(Example(lang=spec.lang, label=label,
                                     tokens=toks, split=split))
-
-    vocab_set = set(vocab_langs) if vocab_langs is not None else {s.lang for s in specs}
-    vocab = Vocab.build(e.tokens for e in examples
-                        if e.split == "train" and e.lang in vocab_set)
-    return Corpus(examples=examples, vocab=vocab)
+    return examples
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +405,11 @@ def unk_rate(corpus: Corpus, vocab: Vocab) -> dict[str, float]:
     return rates
 
 
-def write_corpus_tsv(corpus: Corpus, path) -> None:
+def write_corpus_tsv(examples: list[Example], path) -> None:
     """One ``lang<TAB>label<TAB>tokens<TAB>split`` line per example, in order;
     :func:`read_corpus_tsv` reads it back."""
     with open(path, "w", encoding="utf-8") as fh:
-        for e in corpus.examples:
+        for e in examples:
             fh.write(f"{e.lang}\t{e.label}\t{' '.join(e.tokens)}\t{e.split}\n")
 
 

@@ -21,10 +21,10 @@ from lingualchemy.alignment import (ClosedForm, GradientDescent,
                                     SentenceRepSet, fit_alignment)
 from lingualchemy.autodiff import AdamW, Tensor
 from lingualchemy.encoder import EncoderConfig, TokenBatch
-from lingualchemy.harness import (ExperimentConfig, make_token_batch,
+from lingualchemy.harness import (ExperimentConfig, _run_cells,
+                                  make_token_batch, prepare_benchmark,
                                   run_experiment, scaling_sweep)
-from lingualchemy.synthlang import (Corpus, Example, Vocab, generate_corpus,
-                                    generate_languages, unk_rate)
+from lingualchemy.synthlang import Corpus, Example, Vocab, unk_rate
 from lingualchemy.uriel import ALL_FEATURE_SETS, FeatureSet, load_uriel_tsv
 
 from conftest import write_tsv
@@ -275,8 +275,10 @@ class TestCriterion6Alignment:
 class TestCriterion7OverfitSmoke:
     def test_overfit_small_corpus(self):
         t0 = time.perf_counter()
-        specs, store = generate_languages(2, 1, seed=7)
-        corpus = generate_corpus(specs, 100, 4, seed=7)
+        # both languages are seen, so the vocabulary covers all train text
+        bench = prepare_benchmark(ExperimentConfig(
+            n_langs=2, n_families=1, n_per_lang=100, n_classes=4, gen_seed=7))
+        corpus, store = bench.corpus, bench.store
         examples = corpus.examples  # all 200, every split
         cfg = EncoderConfig(vocab_size=len(corpus.vocab), seed=7)
         model = init_alchemy_model(cfg, n_outputs=4,
@@ -306,30 +308,26 @@ class TestCriterion7OverfitSmoke:
 BENCH = ExperimentConfig()
 
 
-def _unseen_mean(cfg, seed):
-    return run_experiment(cfg, seed=seed,
-                          persist=False).aggregates["unseen_mean"]
+@pytest.fixture(scope="module")
+def bench_data():
+    """The default benchmark, built once for every run of criteria 8 and 9."""
+    return prepare_benchmark(BENCH)
 
 
-def _run_jobs(jobs, width=2):
-    """Unseen means of the ``(cfg, seed)`` jobs, on one pool of ``width``."""
-    from concurrent.futures import ProcessPoolExecutor
-    if width <= 1 or len(jobs) == 1:
-        return [_unseen_mean(cfg, s) for cfg, s in jobs]
-    with ProcessPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(_unseen_mean, *zip(*jobs)))
-
-
-def _run_many(cfg, seeds, width=2):
-    return _run_jobs([(cfg, s) for s in seeds], width)
+def _run_jobs(bench, jobs):
+    """Unseen means of the ``(cfg, seed)`` jobs on ``bench``, in job order, as
+    sweep cells on one pool of 2 workers."""
+    return _run_cells(replace(BENCH, threads=2), bench, jobs)
 
 
 @pytest.fixture(scope="module")
-def paired_runs():
+def paired_runs(bench_data):
     """Shared 5-seed paired runs for criteria 8 and 9's direction check."""
     t0 = time.perf_counter()
-    zero = _run_many(replace(BENCH, factor=0.0), BENCH.seeds)
-    ten = _run_many(replace(BENCH, factor=10.0), BENCH.seeds)
+    zero = _run_jobs(bench_data, [(replace(BENCH, factor=0.0), s)
+                                  for s in BENCH.seeds])
+    ten = _run_jobs(bench_data, [(replace(BENCH, factor=10.0), s)
+                                 for s in BENCH.seeds])
     return (dict(zip(BENCH.seeds, zero)), dict(zip(BENCH.seeds, ten)),
             time.perf_counter() - t0)
 
@@ -349,14 +347,15 @@ class TestCriterion8DeskScaleGeneralization:
 
 @pytest.mark.slow
 class TestCriterion9SweepShape:
-    def test_sweep_direction_and_dynamic_modes(self, paired_runs):
+    def test_sweep_direction_and_dynamic_modes(self, paired_runs, bench_data):
         zero, ten, _ = paired_runs
         wins = sum(1 for s in BENCH.seeds if ten[s] >= zero[s])
         # the 20 runs share one pool: 10 rounds on 2 workers, not 4 x 3
         factors = (25.0, 50.0, 100.0)
         configs = ([replace(BENCH, scaling="alchemy_scale")]
                    + [replace(BENCH, factor=f) for f in factors])
-        values = _run_jobs([(cfg, s) for cfg in configs for s in BENCH.seeds])
+        values = _run_jobs(bench_data,
+                           [(cfg, s) for cfg in configs for s in BENCH.seeds])
         n = len(BENCH.seeds)
         scale_vals = values[:n]
         constants = {0.0: float(np.mean(list(zero.values()))),

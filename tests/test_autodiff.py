@@ -313,6 +313,14 @@ class TestBackwardSemantics:
         ad.backward(ad.add(sq, sq))
         assert x.grad == pytest.approx(8.0)
 
+    def test_only_leaves_keep_a_gradient(self):
+        x = Tensor(3.0, requires_grad=True)
+        sq = ad.mul(x, x)
+        loss = ad.add(sq, sq)
+        ad.backward(loss)
+        assert x.grad == pytest.approx(12.0)
+        assert sq.grad is None and loss.grad is None
+
     def test_no_grad_suppresses_graph(self):
         x = Tensor(3.0, requires_grad=True)
         with ad.no_grad():

@@ -460,3 +460,35 @@ class TestHelp:
         for f in fields(ExperimentConfig):
             assert any(w.startswith(f"{f.name}=") for w in words), f.name
         assert "seeds=1,2,3,4,5;" in words
+
+
+class TestCommandTable:
+    def test_parser_is_built_once_and_leaves_no_cyclic_garbage(self, tmp_path):
+        import argparse
+        import gc
+
+        import lingualchemy.cli as cli
+
+        argv = ["eval", "--run-dir", str(tmp_path / "missing")]
+        main(argv)
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            main(argv)
+            main(argv)
+            gc.collect()
+            parsers = [o for o in gc.garbage
+                       if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert parsers == []
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_replaced_handler_runs(self, monkeypatch):
+        import lingualchemy.cli as cli
+
+        cli.build_parser()  # the parser exists before the handler changes
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: 7)
+        assert main(["eval", "--run-dir", "unused"]) == 7

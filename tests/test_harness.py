@@ -18,8 +18,10 @@ from lingualchemy.harness import (ExperimentConfig, MetricsReport, SweepRow,
                                   feature_combo_label, load_run,
                                   make_token_batch, parse_config,
                                   prepare_benchmark, run_experiment,
-                                  serialize_config, svg_bar_chart)
-from lingualchemy.synthlang import UNK_ID, Example, Vocab, generate_languages
+                                  serialize_config, svg_bar_chart,
+                                  write_benchmark)
+from lingualchemy.synthlang import (UNK_ID, Example, Vocab, generate_languages,
+                                    tokenize, unk_rate)
 from lingualchemy.uriel import ALL_FEATURE_SETS, FeatureSet
 
 FAST = dict(n_langs=6, n_families=3, n_per_lang=40, n_classes=3,
@@ -155,6 +157,34 @@ class TestPrepareBenchmark:
                          if e.lang in bench.unseen for t in e.tokens}
         assert any(t not in bench.corpus.vocab.token_to_id
                    for t in unseen_tokens)
+
+    def test_train_split_unk_free_with_full_vocab(self):
+        bench = prepare_benchmark(fast_cfg(gen_seed=2))
+        assert len(bench.seen) == 6  # every language seen
+        for e in bench.corpus.subset("train").examples:
+            assert UNK_ID not in tokenize(bench.corpus.vocab, e.tokens)
+
+    def test_seen_only_vocab_makes_unseen_unks(self):
+        seen = ("syn00", "syn01", "syn02", "syn03")
+        bench = prepare_benchmark(fast_cfg(gen_seed=2, seen=seen))
+        rates = unk_rate(bench.corpus, bench.corpus.vocab)
+        assert any(rates[l] > 0 for l in ("syn04", "syn05"))
+
+    def test_written_data_reads_back_as_the_same_benchmark(self, tmp_path):
+        """Generated and user data share one path: the files that
+        ``write_benchmark`` writes give back the benchmark they came from."""
+        cfg = fast_cfg(n_langs=9, n_families=3)
+        bench = prepare_benchmark(cfg)
+        written = write_benchmark(bench, tmp_path / "data")
+        assert written == ["store/", "corpus.tsv", "vocab.tsv"]
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == \
+               ["corpus.tsv", "store", "vocab.tsv"]
+        reread = prepare_benchmark(replace(
+            cfg, corpus=str(tmp_path / "data" / "corpus.tsv"),
+            store_dir=str(tmp_path / "data" / "store"), seen=bench.seen,
+            unseen=bench.unseen))
+        assert reread == bench
+        assert Vocab.load(tmp_path / "data" / "vocab.tsv") == bench.corpus.vocab
 
     def test_default_corpus_digest_pinned(self):
         """The default synthetic corpus and vocab, down to every token."""

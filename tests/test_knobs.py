@@ -12,7 +12,7 @@ from dataclasses import fields
 import pytest
 
 from lingualchemy import autodiff as ad
-from lingualchemy import encoder
+from lingualchemy import cli, encoder
 from lingualchemy.alchemy import AlchemyScale, AlchemyTune, init_alchemy_model
 from lingualchemy.alignment import GradientDescent
 from lingualchemy.autodiff import AdamW, Tensor
@@ -86,3 +86,12 @@ class TestOneTaskOneRepresentation:
                                       "pool_cls"])
     def test_encoder_has_one_forward(self, name):
         assert not hasattr(encoder, name)
+
+
+class TestOneHomePerRule:
+    def test_generate_corpus_builds_no_vocabulary(self):
+        assert "vocab_langs" not in inspect.signature(generate_corpus).parameters
+
+    @pytest.mark.parametrize("name", ["write_corpus_tsv", "write_uriel_tsv"])
+    def test_cli_writes_no_data_file_itself(self, name):
+        assert not hasattr(cli, name)

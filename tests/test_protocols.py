@@ -13,8 +13,7 @@ import pytest
 from lingualchemy.alchemy import ConstantScaling, init_alchemy_model, train_loop
 from lingualchemy.encoder import EncoderConfig
 from lingualchemy.harness import (ExperimentConfig, family_split_experiment,
-                                  make_token_batch)
-from lingualchemy.synthlang import generate_corpus, generate_languages
+                                  make_token_batch, prepare_benchmark)
 from lingualchemy.uriel import ALL_FEATURE_SETS
 
 pytestmark = pytest.mark.slow
@@ -41,11 +40,10 @@ class TestTrainLoopRuntime:
     def test_thirty_epochs_within_budget(self):
         """A 30-epoch run over the default corpus (<= 5k examples) stays
         under two minutes on one core, using the wider default encoder."""
-        specs, store = generate_languages(12, 4, seed=0)
-        corpus = generate_corpus(specs, 250, 4, seed=0,
-                                 vocab_langs=[s.lang for s in specs[:8]])
-        train = corpus.for_langs([s.lang for s in specs[:8]]) \
-                      .subset("train").examples
+        bench = prepare_benchmark(ExperimentConfig(n_per_lang=250))
+        corpus, store = bench.corpus, bench.store
+        assert len(bench.seen) == 8  # the vocabulary covers these only
+        train = corpus.for_langs(bench.seen).subset("train").examples
         assert len(train) <= 5000
         cfg = EncoderConfig(vocab_size=len(corpus.vocab), seed=1)  # d_model 64
         model = init_alchemy_model(cfg, n_outputs=4,

@@ -104,13 +104,13 @@ class TestGenerateCorpus:
         specs, _ = generate_languages(4, 2, seed=0)
         c1 = generate_corpus(specs, 30, 3, seed=5)
         c2 = generate_corpus(specs, 30, 3, seed=5)
-        assert c1.examples == c2.examples
+        assert c1 == c2
 
     def test_label_stratification(self):
         specs, _ = generate_languages(4, 2, seed=0)
-        corpus = generate_corpus(specs, 31, 4, seed=1)
-        for lang in corpus.languages():
-            labels = [e.label for e in corpus.examples if e.lang == lang]
+        examples = generate_corpus(specs, 31, 4, seed=1)
+        for lang in sorted({e.lang for e in examples}):
+            labels = [e.label for e in examples if e.lang == lang]
             counts = np.bincount(labels, minlength=4)
             assert counts.max() - counts.min() <= 1
 
@@ -118,28 +118,20 @@ class TestGenerateCorpus:
         """Identical params + zero lexicon shift -> identical realized text."""
         a = spec_with("syn00", family=0, params=(0.4, 0.3, 0.0))
         b = spec_with("syn01", family=0, params=(0.4, 0.3, 0.0))
-        corpus = generate_corpus([a, b], 25, 3, seed=9)
-        rows_a = [(e.label, e.tokens, e.split) for e in corpus.examples
+        examples = generate_corpus([a, b], 25, 3, seed=9)
+        rows_a = [(e.label, e.tokens, e.split) for e in examples
                   if e.lang == "syn00"]
-        rows_b = [(e.label, e.tokens, e.split) for e in corpus.examples
+        rows_b = [(e.label, e.tokens, e.split) for e in examples
                   if e.lang == "syn01"]
         assert rows_a == rows_b
 
-    def test_train_split_unk_free_with_full_vocab(self):
-        specs, _ = generate_languages(6, 3, seed=2)
-        corpus = generate_corpus(specs, 40, 3, seed=2)
-        train = corpus.subset("train")
-        for e in train.examples:
-            ids = tokenize(corpus.vocab, e.tokens)
-            assert 1 not in ids
-
-    def test_seen_only_vocab_makes_unseen_unks(self):
-        specs, _ = generate_languages(6, 3, seed=2)
-        seen = [s.lang for s in specs[:4]]
-        corpus = generate_corpus(specs, 40, 3, seed=2, vocab_langs=seen)
-        rates = unk_rate(corpus, corpus.vocab)
-        unseen = [s.lang for s in specs[4:]]
-        assert any(rates[l] > 0 for l in unseen)
+    @pytest.mark.parametrize("g", [4, 12, 101])
+    def test_grouped_by_language_in_sorted_spec_order(self, g):
+        specs, _ = generate_languages(g, 2, seed=0)
+        examples = generate_corpus(specs, 2, 2, seed=5)
+        langs = [s.lang for s in specs]
+        assert langs == sorted(langs)  # zero-padded codes
+        assert [e.lang for e in examples] == [l for l in langs for _ in range(2)]
 
     def test_bad_counts(self):
         specs, _ = generate_languages(2, 1, seed=0)
@@ -219,12 +211,12 @@ class TestUnkRate:
 class TestCorpusTsv:
     def test_round_trip(self, tmp_path):
         specs, _ = generate_languages(4, 2, seed=0)
-        corpus = generate_corpus(specs, 20, 3, seed=1)
+        generated = generate_corpus(specs, 20, 3, seed=1)
         path = tmp_path / "corpus.tsv"
-        write_corpus_tsv(corpus, path)
+        write_corpus_tsv(generated, path)
         examples = read_corpus_tsv(path)
         assert {(e.lang, e.label, e.tokens) for e in examples} == \
-               {(e.lang, e.label, e.tokens) for e in corpus.examples}
+               {(e.lang, e.label, e.tokens) for e in generated}
 
     def test_bad_label_reports_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -234,11 +226,11 @@ class TestCorpusTsv:
 
     def test_split_column_round_trip(self, tmp_path):
         specs, _ = generate_languages(4, 2, seed=0)
-        corpus = generate_corpus(specs, 20, 3, seed=1)
+        generated = generate_corpus(specs, 20, 3, seed=1)
         path = tmp_path / "corpus.tsv"
-        write_corpus_tsv(corpus, path)
+        write_corpus_tsv(generated, path)
         examples = read_corpus_tsv(path, split_seed=3)
-        assert examples == corpus.examples
+        assert examples == generated
         first = {}
         for e in examples:
             for tok in e.tokens:
@@ -265,9 +257,9 @@ class TestCorpusTsv:
 
     def test_split_assignment_deterministic(self, tmp_path):
         specs, _ = generate_languages(4, 2, seed=0)
-        corpus = generate_corpus(specs, 20, 3, seed=1)
+        generated = generate_corpus(specs, 20, 3, seed=1)
         path = tmp_path / "corpus.tsv"
-        write_corpus_tsv(corpus, path)
+        write_corpus_tsv(generated, path)
         e1 = read_corpus_tsv(path, split_seed=3)
         e2 = read_corpus_tsv(path, split_seed=3)
         assert e1 == e2
