@@ -51,10 +51,6 @@ class TokenBatch:
         if len(self.langs) != self.ids.shape[0]:
             raise ValueError("langs must have one entry per row")
 
-    @property
-    def size(self) -> int:
-        return self.ids.shape[0]
-
 
 def _uniform_fan_in(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)

@@ -8,6 +8,7 @@ equals an independent run with the same configuration and seed.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
 import math
@@ -593,6 +594,24 @@ _worker_benchmark: Benchmark | None = None
 def _set_worker_benchmark(bench: Benchmark) -> None:
     global _worker_benchmark
     _worker_benchmark = bench
+    _pin_blas_to_one_thread()
+
+
+# OpenBLAS's thread-count setter, by the names its builds export it under.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Run the OpenBLAS bundled with numpy on one thread in this process, so a
+    pool of ``width`` workers runs ``width`` BLAS threads, not ``width`` times
+    the default. Does nothing where numpy bundles no OpenBLAS."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                return
 
 
 def _run_worker_cell(job) -> float:

@@ -235,17 +235,15 @@ def generate_languages(g: int, families: int, seed: int
         neighbors = [j for _, _, j in ranked[:m]]
         knn_rows[spec.lang] = params_matrix[neighbors].mean(axis=0)
 
-    def table(rows: dict[str, np.ndarray], dim: int):
-        return dim, {lang: (np.round(np.asarray(v, dtype=np.float64), 8),
-                            np.ones(dim, dtype=bool))
-                     for lang, v in rows.items()}
+    def table(rows: dict[str, np.ndarray]):
+        return {lang: (np.round(np.asarray(v, dtype=np.float64), 8),
+                       np.ones(len(v), dtype=bool))
+                for lang, v in rows.items()}
 
     store = UrielStore.from_raw_tables({
-        FeatureSet.SYNTAX_KNN: table(knn_rows, 3),
-        FeatureSet.SYNTAX_AVERAGE: table(
-            {s.lang: centroids[s.family] for s in specs}, 3),
-        FeatureSet.GEO: table(
-            {s.lang: np.array(s.geo_features) for s in specs}, 5),
+        FeatureSet.SYNTAX_KNN: table(knn_rows),
+        FeatureSet.SYNTAX_AVERAGE: table({s.lang: centroids[s.family] for s in specs}),
+        FeatureSet.GEO: table({s.lang: np.array(s.geo_features) for s in specs}),
     })
     return specs, store
 

@@ -3,9 +3,10 @@
 Three feature sets are supported: syntax_knn, syntax_average, geo.
 Syntax values are typological indicators already on a unit scale and are
 validated, not rescaled. Geo values are raw distances and get min-max
-normalized per dimension at load time. Missing cells ("--") are imputed
-to 0.0 and tracked in an explicit observation mask so downstream losses
-keep fixed-width vectors.
+normalized per dimension at load time. Each feature set is one read-only
+languages × features matrix. A missing cell ("--") is imputed to 0.0, so
+every vector keeps its width and the loss pulls toward 0.0 there; an
+observation mask of the same shape records which cells the file gave.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class LinguisticVector:
         return len(self.values)
 
 
-def _read_rows(path: Path) -> tuple[int, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Parse one feature TSV into (n_dims, {lang: (values, mask)})."""
+def _read_rows(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Parse one feature TSV into {lang: (values, mask)}."""
     rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     header_cols = None
     for line_no, line in enumerate(read_text_lines(path), start=1):
@@ -99,7 +100,7 @@ def _read_rows(path: Path) -> tuple[int, dict[str, tuple[np.ndarray, np.ndarray]
         raise TsvFormatError(path, 0, "missing header line")
     if not rows:
         raise DataError(f"{path}: no language rows")
-    return header_cols - 1, rows
+    return rows
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -109,79 +110,76 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class UrielStore:
-    """Immutable per-language feature tables, one per feature set.
+    """A languages × features table per feature set.
 
-    ``tables[fs]`` maps language code to an (values, mask) pair whose values
-    are already normalized.
+    Row ``i`` of ``values[fs]`` is the normalized vector of ``langs[i]``, with
+    every unobserved cell 0.0; ``observed[fs]`` marks the cells its file gave.
+    Both matrices are read-only.
     """
 
-    tables: dict[FeatureSet, dict[str, tuple[np.ndarray, np.ndarray]]]
-    dims: dict[FeatureSet, int]
-    # feature-set tuple -> {lang: vector}, filled by target_matrix
-    _targets: dict = field(default_factory=dict, init=False, repr=False)
+    langs: tuple[str, ...]
+    values: dict[FeatureSet, np.ndarray]
+    observed: dict[FeatureSet, np.ndarray]
+    _rows: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._rows = {lang: i for i, lang in enumerate(self.langs)}
 
     @classmethod
     def from_raw_tables(
-        cls,
-        raw: Mapping[FeatureSet, tuple[int, Mapping[str, tuple[np.ndarray, np.ndarray]]]],
+        cls, raw: Mapping[FeatureSet, Mapping[str, tuple[np.ndarray, np.ndarray]]],
     ) -> "UrielStore":
         """Build a store from parsed tables: inner join, normalize, validate."""
         if not raw:
             raise DataError("no feature tables supplied")
-        lang_sets = [set(rows) for _, rows in raw.values()]
-        common = sorted(set.intersection(*lang_sets))
+        common = sorted(set.intersection(*(set(rows) for rows in raw.values())))
         if not common:
             raise DataError("no language present in every feature file")
-
-        tables: dict[FeatureSet, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
-        dims: dict[FeatureSet, int] = {}
-        for fs, (dim, rows) in raw.items():
-            dims[fs] = dim
+        values, observed = {}, {}
+        for fs, rows in raw.items():
             mat = np.stack([rows[lang][0] for lang in common])
-            masks = np.stack([rows[lang][1] for lang in common])
+            mask = np.stack([rows[lang][1] for lang in common])
             if fs.is_geo:
-                mat = _normalize_geo(mat, masks)
-            else:
-                observed = mat[masks]
-                if observed.size and (observed.min() < 0.0 or observed.max() > 1.0):
-                    raise DataError(
-                        f"{fs.value}: observed values outside [0, 1]; "
-                        "syntax features are expected on a unit scale"
-                    )
-            mat = np.where(masks, mat, 0.0)
-            tables[fs] = {
-                lang: (_freeze(mat[i].copy()), _freeze(masks[i].copy()))
-                for i, lang in enumerate(common)
-            }
-        return cls(tables=tables, dims=dims)
+                mat = _normalize_geo(mat, mask)
+            elif mask.any() and (mat[mask].min() < 0.0 or mat[mask].max() > 1.0):
+                raise DataError(
+                    f"{fs.value}: observed values outside [0, 1]; "
+                    "syntax features are expected on a unit scale"
+                )
+            values[fs] = _freeze(np.where(mask, mat, 0.0))
+            observed[fs] = _freeze(mask)
+        return cls(langs=tuple(common), values=values, observed=observed)
 
     # -- queries ---------------------------------------------------------
 
     def list_languages(self) -> list[str]:
         """All languages in the store, lexicographically sorted."""
-        first = next(iter(self.tables.values()))
-        return sorted(first)
+        return list(self.langs)
 
-    def get_vector(self, lang: str, sets: Sequence[FeatureSet]) -> LinguisticVector:
-        """Concatenate the requested feature sets, in the given order."""
-        sets = tuple(sets)
+    @property
+    def dims(self) -> dict[FeatureSet, int]:
+        return {fs: mat.shape[1] for fs, mat in self.values.items()}
+
+    def _gather(self, tables: dict[FeatureSet, np.ndarray], langs: Sequence[str],
+                sets: Sequence[FeatureSet]) -> np.ndarray:
+        """Rows of ``langs`` from ``tables``, the sets concatenated in order."""
         if not sets:
             raise ValueError("sets must be nonempty")
         if len(set(sets)) != len(sets):
             raise ValueError(f"duplicate feature set in {sets}")
-        values = []
-        masks = []
-        for fs in sets:
-            table = self.tables[fs]
-            if lang not in table:
-                raise UnknownLanguageError(lang)
-            v, m = table[lang]
-            values.append(v)
-            masks.append(m)
+        try:
+            rows = [self._rows[lang] for lang in langs]
+        except KeyError as exc:
+            raise UnknownLanguageError(exc.args[0]) from None
+        return np.concatenate([tables[fs][rows] for fs in sets], axis=1)
+
+    def get_vector(self, lang: str, sets: Sequence[FeatureSet]) -> LinguisticVector:
+        """Concatenate the requested feature sets, in the given order."""
+        sets = tuple(sets)
         return LinguisticVector(
             lang=lang,
-            values=_freeze(np.concatenate(values)),
-            mask=_freeze(np.concatenate(masks)),
+            values=_freeze(self._gather(self.values, [lang], sets)[0]),
+            mask=_freeze(self._gather(self.observed, [lang], sets)[0]),
             feature_sets=sets,
         )
 
@@ -190,69 +188,46 @@ class UrielStore:
     ) -> list[tuple[str, float]]:
         """k nearest other languages by Euclidean distance over jointly
         observed dimensions; ties broken by language code."""
-        langs = self.list_languages()
         if k < 1:
             raise ValueError("k must be positive")
-        if k >= len(langs):
-            raise ValueError(f"k={k} must be < number of languages ({len(langs)})")
+        if k >= len(self.langs):
+            raise ValueError(f"k={k} must be < number of languages ({len(self.langs)})")
         query = self.get_vector(lang, sets)
-        scored = []
-        for other in langs:
-            if other == lang:
-                continue
-            vec = self.get_vector(other, sets)
-            both = query.mask & vec.mask
-            d = float(np.linalg.norm(query.values[both] - vec.values[both]))
-            scored.append((d, other))
-        scored.sort()
-        return [(code, d) for d, code in scored[:k]]
+        values = self._gather(self.values, self.langs, sets)
+        both = self._gather(self.observed, self.langs, sets) & query.mask
+        # the norm of only the jointly observed cells: a zero-filled row would
+        # sum in another order and move distances by an ulp
+        scored = sorted((float(np.linalg.norm(d[b])), other)
+                        for d, b, other in zip(query.values - values, both, self.langs)
+                        if other != lang)
+        return [(other, d) for d, other in scored[:k]]
 
     def vector_dim(self, sets: Sequence[FeatureSet]) -> int:
-        return sum(self.dims[fs] for fs in sets)
+        return sum(self.values[fs].shape[1] for fs in sets)
 
     def target_matrix(self, langs: Sequence[str], sets: Sequence[FeatureSet]) -> np.ndarray:
-        """Stack per-language vectors for a batch; rows repeat with languages.
-
-        Each language's vector under one feature-set choice is concatenated
-        once per store, since its tables do not change; later batches only
-        gather the rows.
-        """
-        rows = self._targets.setdefault(tuple(sets), {})
-        for lang in dict.fromkeys(langs):
-            if lang not in rows:
-                rows[lang] = self.get_vector(lang, sets).values
-        return np.stack([rows[lang] for lang in langs])
+        """One row per entry of ``langs`` (repeats included): the values of
+        ``sets`` concatenated, an unobserved cell as its 0.0 imputation."""
+        return self._gather(self.values, langs, sets)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UrielStore):
             return NotImplemented
-        if set(self.tables) != set(other.tables) or self.dims != other.dims:
-            return False
-        for fs, table in self.tables.items():
-            theirs = other.tables[fs]
-            if set(table) != set(theirs):
-                return False
-            for lang, (v, m) in table.items():
-                tv, tm = theirs[lang]
-                if not (np.array_equal(v, tv) and np.array_equal(m, tm)):
-                    return False
-        return True
+        return (self.langs == other.langs and self.values.keys() == other.values.keys()
+                and all(np.array_equal(self.values[fs], other.values[fs])
+                        and np.array_equal(self.observed[fs], other.observed[fs])
+                        for fs in self.values))
 
 
-def _normalize_geo(mat: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Min-max scale each geo column to [0, 1] over its observed values."""
-    out = mat.copy()
-    for j in range(mat.shape[1]):
-        col_mask = masks[:, j]
-        if not col_mask.any():
-            continue
-        observed = mat[col_mask, j]
-        lo, hi = float(observed.min()), float(observed.max())
-        if hi > lo:
-            out[col_mask, j] = (observed - lo) / (hi - lo)
-        else:
-            out[col_mask, j] = 0.0
-    return out
+def _normalize_geo(mat: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Min-max scale each geo column to [0, 1] over its observed cells.
+
+    A constant column, or one with no observed cell, scales to 0.0.
+    """
+    lo = np.where(mask, mat, np.inf).min(axis=0)
+    hi = np.where(mask, mat, -np.inf).max(axis=0)
+    varies = hi > lo
+    return np.where(varies, (mat - lo) / np.where(varies, hi - lo, 1.0), 0.0)
 
 
 def load_uriel_tsv(paths: Mapping[FeatureSet, str | Path]) -> UrielStore:
@@ -263,8 +238,7 @@ def load_uriel_tsv(paths: Mapping[FeatureSet, str | Path]) -> UrielStore:
     """
     if not paths:
         raise DataError("no feature files supplied")
-    raw = {fs: _read_rows(Path(p)) for fs, p in paths.items()}
-    return UrielStore.from_raw_tables(raw)
+    return UrielStore.from_raw_tables({fs: _read_rows(Path(p)) for fs, p in paths.items()})
 
 
 def write_uriel_tsv(store: UrielStore, directory: str | Path) -> dict[FeatureSet, Path]:
@@ -276,12 +250,10 @@ def write_uriel_tsv(store: UrielStore, directory: str | Path) -> dict[FeatureSet
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = {}
-    for fs, table in store.tables.items():
+    for fs, mat in store.values.items():
         path = directory / f"{fs.value}.tsv"
-        dim = store.dims[fs]
-        lines = ["lang\t" + "\t".join(f"f{j}" for j in range(dim))]
-        for lang in sorted(table):
-            values, mask = table[lang]
+        lines = ["lang\t" + "\t".join(f"f{j}" for j in range(mat.shape[1]))]
+        for lang, values, mask in zip(store.langs, mat, store.observed[fs]):
             cells = [repr(float(v)) if m else MISSING for v, m in zip(values, mask)]
             lines.append(lang + "\t" + "\t".join(cells))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

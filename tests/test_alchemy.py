@@ -98,6 +98,16 @@ class TestUrielLoss:
                             small_store, SETS).item()
         assert both == pytest.approx(single, abs=1e-15)
 
+    def test_missing_cell_enters_as_zero_target(self, tmp_path):
+        path = write_tsv(tmp_path / "knn.tsv", ["lang", "f0", "f1"],
+                         [["aa", "0.5", "--"], ["bb", "--", "1.0"]])
+        store = load_uriel_tsv({FeatureSet.SYNTAX_KNN: path})
+        assert store.target_matrix(["aa", "bb"], SETS).tolist() == \
+            [[0.5, 0.0], [0.0, 1.0]]
+        projected = Tensor(np.array([[1.5, 2.0], [3.0, 1.0]]))
+        # ((1.5 - 0.5)² + (2.0 - 0.0)² + (3.0 - 0.0)² + (1.0 - 1.0)²) / 2 rows
+        assert uriel_loss(projected, ["aa", "bb"], store, SETS).item() == 7.0
+
     def test_unknown_language_named(self, small_store):
         with pytest.raises(UnknownLanguageError, match="zz"):
             uriel_loss(Tensor(np.zeros((1, 2))), ["zz"], small_store, SETS)
@@ -370,6 +380,25 @@ class TestTrainLoop:
         _, trace = self._loop(small_store, 2, AlchemyTune())
         assert len(trace) == 2
         assert len(trace[0]) == 8
+
+    def test_each_epoch_shuffles_by_seed_and_epoch(self, small_store):
+        batch = tiny_batch(langs=("aa", "bb", "cc", "aa", "bb"),
+                           labels=(0, 1, 2, 0, 1))
+        visited = []
+
+        def batches_fn(indices):
+            visited.extend(indices.tolist())
+            return TokenBatch(ids=batch.ids[indices],
+                              attention_mask=batch.attention_mask[indices],
+                              langs=tuple(batch.langs[i] for i in indices),
+                              labels=batch.labels[indices])
+
+        train_loop(tiny_model(), batches_fn, 5, small_store, SETS,
+                   ConstantScaling(1.0), epochs=2, batch_size=2, lr=1e-3, seed=7)
+        orders = [np.random.default_rng([7, epoch]).permutation(5).tolist()
+                  for epoch in range(2)]
+        assert orders[0] != orders[1] and list(range(5)) not in orders
+        assert visited == orders[0] + orders[1]
 
     def test_non_finite_loss_stops_training(self, small_store):
         # an inf task bias makes every logit inf, so the task loss is nan

@@ -4,6 +4,7 @@ import os
 import resource
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from lingualchemy.harness import (ExperimentConfig, MetricsReport, SweepRow,
 from lingualchemy.synthlang import (UNK_ID, Example, Vocab, generate_languages,
                                     tokenize, unk_rate)
 from lingualchemy.uriel import ALL_FEATURE_SETS, FeatureSet
+
+from conftest import write_tsv
 
 FAST = dict(n_langs=6, n_families=3, n_per_lang=40, n_classes=3,
             epochs=2, batch_size=16, seeds=(1, 2), d_model=16, max_seq_len=16,
@@ -170,6 +173,23 @@ class TestPrepareBenchmark:
         rates = unk_rate(bench.corpus, bench.corpus.vocab)
         assert any(rates[l] > 0 for l in ("syn04", "syn05"))
 
+    def test_vocab_reads_only_train_text(self, tmp_path):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("aa\t0\tx y\ttrain\n"
+                          "aa\t1\ty z\ttrain\n"
+                          "aa\t0\tx devonly\tdev\n"
+                          "aa\t1\tz testonly\ttest\n"
+                          "bb\t0\tx y\ttest\n", encoding="utf-8")
+        (tmp_path / "store").mkdir()
+        write_tsv(tmp_path / "store" / "syntax_knn.tsv", ["lang", "f0"],
+                  [["aa", "0.1"], ["bb", "0.9"]])
+        bench = prepare_benchmark(fast_cfg(
+            feature_sets=(FeatureSet.SYNTAX_KNN,), corpus=str(corpus),
+            store_dir=str(tmp_path / "store"), seen=("aa",), unseen=("bb",)))
+        ids = tokenize(bench.corpus.vocab, ("x", "y", "z", "devonly", "testonly"))
+        assert UNK_ID not in ids[1:4]
+        assert ids[4:] == [UNK_ID, UNK_ID]
+
     def test_written_data_reads_back_as_the_same_benchmark(self, tmp_path):
         """Generated and user data share one path: the files that
         ``write_benchmark`` writes give back the benchmark they came from."""
@@ -283,10 +303,9 @@ class TestRunExperiment:
         run_experiment(cfg, seed=1, run_dir=tmp_path / "run")
         cfg, bench, model = load_run(tmp_path / "run")
         before = evaluate_languages(model, bench, cfg)
-        for table in bench.store.tables.values():
-            for values, _ in table.values():
-                values.flags.writeable = True
-                values[:] = 999.0
+        for values in bench.store.values.values():
+            values.flags.writeable = True
+            values[:] = 999.0
         assert evaluate_languages(model, bench, cfg) == before
 
     def test_load_run_reads_the_runs_own_benchmark(self, tmp_path, monkeypatch):
@@ -418,6 +437,25 @@ class TestSweepBenchmarkReuse:
                        seeds=(1,), threads=2)
         rows = harness.scaling_sweep(cfg)
         assert len(rows) == 7
+
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
+        import ctypes
+        import multiprocessing
+
+        import lingualchemy.harness as harness
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the patched cell only under fork")
+        libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+        get = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_",
+                      None) if libs else None
+        if get is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        before = get()
+        monkeypatch.setattr(harness, "_run_cell", lambda cfg, seed, bench: get())
+        cfg = fast_cfg(threads=2)
+        assert harness._run_cells(cfg, None, [(cfg, s) for s in range(4)]) == [1] * 4
+        assert get() == before
 
     def test_sweep_without_unseen_languages_rejected(self):
         from lingualchemy.harness import scaling_sweep

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lingualchemy.errors import DataError, TsvFormatError, UnknownLanguageError
-from lingualchemy.uriel import (ALL_FEATURE_SETS, FeatureSet, UrielStore,
-                                load_uriel_tsv, write_uriel_tsv)
+from lingualchemy.uriel import FeatureSet, load_uriel_tsv, write_uriel_tsv
 
 from conftest import write_tsv
 
@@ -33,6 +32,24 @@ class TestLoad:
         values = [store.get_vector(l, [FeatureSet.GEO]).values[0]
                   for l in ("aa", "bb", "cc")]
         assert values == [0.0, 0.5, 1.0]
+
+    def test_constant_geo_column_scales_to_zero(self, tmp_path):
+        # f0 is constant where observed; f1 and f2 scale, bb's f2 imputes 0.0
+        path = write_tsv(tmp_path / "geo.tsv", ["lang", "f0", "f1", "f2"],
+                         [["aa", "7", "0", "2"], ["bb", "7", "10", "--"],
+                          ["cc", "--", "5", "4"]])
+        store = load_uriel_tsv({FeatureSet.GEO: path})
+        assert store.values[FeatureSet.GEO].tolist() == \
+            [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 1.0]]
+        assert store.observed[FeatureSet.GEO].tolist() == \
+            [[True, True, True], [True, True, False], [False, True, True]]
+
+    def test_unobserved_geo_column_reads_zero(self, tmp_path):
+        path = write_tsv(tmp_path / "geo.tsv", ["lang", "f0", "f1"],
+                         [["aa", "--", "3"], ["bb", "--", "9"]])
+        store = load_uriel_tsv({FeatureSet.GEO: path})
+        assert store.values[FeatureSet.GEO].tolist() == [[0.0, 0.0], [0.0, 1.0]]
+        assert not store.observed[FeatureSet.GEO][:, 0].any()
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = write_tsv(tmp_path / "geo.tsv", ["lang", "f0", "f1"],
@@ -123,18 +140,6 @@ class TestTargetMatrix:
         assert got.shape == (5, 2)
         np.testing.assert_array_equal(got, expected)
 
-    def test_each_distinct_language_fetched_once(self, geo_store, monkeypatch):
-        fetched = []
-        original = UrielStore.get_vector
-
-        def counting(self, lang, sets):
-            fetched.append(lang)
-            return original(self, lang, sets)
-
-        monkeypatch.setattr(UrielStore, "get_vector", counting)
-        geo_store.target_matrix(["bbb", "aaa", "bbb", "bbb", "aaa"], [FeatureSet.GEO])
-        assert fetched == ["bbb", "aaa"]
-
     def test_unknown_language_among_repeats_named(self, geo_store):
         with pytest.raises(UnknownLanguageError, match="zzz"):
             geo_store.target_matrix(["aaa", "aaa", "zzz", "bbb"], [FeatureSet.GEO])
@@ -192,6 +197,9 @@ class TestListLanguages:
         vec = geo_store.get_vector("aaa", [FeatureSet.GEO])
         with pytest.raises(ValueError):
             vec.values[0] = 5.0
+        for table in (geo_store.values, geo_store.observed):
+            with pytest.raises(ValueError):
+                table[FeatureSet.GEO][0, 0] = 0
 
 
 class TestRoundTrip:
