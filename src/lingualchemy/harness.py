@@ -554,16 +554,27 @@ def _aggregate(rows, categories: dict[str, str]) -> dict[str, float]:
 
 def family_split_experiment(cfg: ExperimentConfig,
                             seed: int | None = None) -> list[MetricsReport]:
-    """One report per cumulative training group, fixed unseen evaluation set."""
+    """One report per cumulative training group, fixed unseen evaluation set.
+
+    The groups run on a pool as wide as a sweep's (``_pool_width``), whose
+    workers run BLAS on one thread, each building its own group's benchmark."""
     if not cfg.family_groups:
         raise ConfigError("family_groups must be set for the family experiment")
     if not cfg.unseen:
         raise ConfigError("unseen languages must be set for the family experiment")
-    reports = []
-    for group in cfg.family_groups:
-        group_cfg = replace(cfg, seen=tuple(group), family_groups=())
-        reports.append(run_experiment(group_cfg, seed=seed, persist=False))
-    return reports
+    jobs = [(replace(cfg, seen=tuple(group), family_groups=()), seed)
+            for group in cfg.family_groups]
+    width = _pool_width(cfg, len(jobs))
+    if width == 1:
+        return [_run_group(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=width,
+                             initializer=_pin_blas_to_one_thread) as pool:
+        return list(pool.map(_run_group, jobs))
+
+
+def _run_group(job) -> MetricsReport:
+    """One family group's run, on the benchmark it builds for its own seen set."""
+    return run_experiment(*job, persist=False)
 
 
 # ---------------------------------------------------------------------------

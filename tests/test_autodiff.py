@@ -194,6 +194,21 @@ class TestStructuralOps:
         ad.backward(scalarize(ad.embedding(tok, pos, ids)))
         assert (pos.grad[3:] == 0.0).all() and (pos.grad[:3] != 0.0).all()
 
+    def test_embedding_token_gradient_is_a_sequential_row_sum(self, rng):
+        """Repeated ids add their rows in batch order from 0.0; an id fed
+        only a -0.0 row gets +0.0, as ``tok_grad[id] += row`` would."""
+        tok = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        pos = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        ids = np.array([[2, 5, 2, 2], [0, 2, 1, 5]])
+        g = rng.normal(size=(2, 4, 3)) * 10.0 ** rng.integers(-9, 9, size=(2, 4, 3))
+        g[1, 2] = -0.0
+        expected = np.zeros_like(tok.data)
+        for i, row in zip(ids.reshape(-1), g.reshape(-1, 3)):
+            expected[i] += row
+        got, _ = ad.embedding(tok, pos, ids)._vjp(g)
+        assert np.signbit(got[1]).sum() == 0
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_embedding_id_out_of_range(self):
         with pytest.raises(ValueError, match="id out of range"):
             ad.embedding(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
@@ -238,6 +253,15 @@ class TestAttention:
         assert got.data.shape == (2, 4, 6)
         np.testing.assert_array_equal(
             got.data, self.reference(q.data, k.data, v.data, self.MASK, n_heads))
+
+    def test_non_finite_masked_key_gets_zero_weight(self, rng):
+        q, k, v = self.qkv(rng)
+        clean = ad.attention(q, k, v, self.MASK, 2).data
+        k.data[0, 2] = np.nan
+        k.data[1, 1:] = np.inf
+        with np.errstate(invalid="ignore"):  # the masked scores themselves are nan
+            got = ad.attention(q, k, v, self.MASK, 2).data
+        np.testing.assert_array_equal(got, clean)
 
     def test_rows_are_probabilities(self, rng):
         # one head, d == T, v[b, t] = e_t: each output row is that query's

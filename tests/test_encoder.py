@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from lingualchemy import autodiff as ad
-from lingualchemy.encoder import (EncoderConfig, TokenBatch, _layer,
+from lingualchemy.encoder import (EncoderConfig, TokenBatch, _layer, _Padded,
                                   encode_cls, init_encoder_params)
+from lingualchemy.harness import (ExperimentConfig, build_model, eval_batches,
+                                  prepare_benchmark)
 
 from gradcheck import finite_difference_grad, sum_all
 
@@ -101,11 +103,21 @@ class TestForward:
             batch_of([[0, 5]], mask=np.array([[False, True]]))
 
 
+class TestForwardPacked(TestForward):
+    """The same checks under ``no_grad``, where ``encode_cls`` runs on packed
+    rows of the unmasked positions."""
+
+    @pytest.fixture(autouse=True)
+    def _no_grad(self):
+        with ad.no_grad():
+            yield
+
+
 def full_forward_cls(cfg, params, batch):
     """Oracle: every layer at full length, then ``ln_f``, then position 0."""
     x = ad.embedding(params["tok_emb"], params["pos_emb"], batch.ids)
     for i in range(cfg.n_layers):
-        x = _layer(cfg, params, i, x, batch.attention_mask, batch.ids.shape[1])
+        x = _layer(cfg, params, i, x, _Padded(batch.attention_mask), False)
     x = ad.layer_norm(x, params["ln_f_g"], params["ln_f_b"])
     return ad.take_first_position(x)
 
@@ -142,6 +154,77 @@ class TestEncodeCls:
         for name in full_grads:
             np.testing.assert_allclose(cls_grads[name], full_grads[name],
                                        rtol=0, atol=1e-12, err_msg=name)
+
+
+def recorded_and_packed(cfg, params, batch):
+    recorded = encode_cls(cfg, params, batch)
+    with ad.no_grad():
+        packed = encode_cls(cfg, params, batch)
+    assert recorded.requires_grad and not packed.requires_grad
+    return recorded.data, packed.data
+
+
+# (ids, mask) batches; every row keeps its CLS
+PACKED_CASES = {
+    "mixed": ([[0, 5, 7, 3, 1], [0, 2, 2, 9, 9], [0, 4, 0, 0, 0]],
+              [[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 1, 0, 1]]),
+    "row_of_cls_only": ([[0, 5, 7, 3], [0, 8, 8, 8]],
+                        [[1, 1, 0, 1], [1, 0, 0, 0]]),
+    "t1": ([[0], [3], [6]], [[1], [1], [1]]),
+    "b1": ([[0, 5, 7, 3, 1, 2]], [[1, 1, 0, 1, 0, 1]]),
+    "b1_cls_only": ([[0, 5, 7]], [[1, 0, 0]]),
+}
+
+
+class TestPackedLayout:
+    """Under ``no_grad`` ``encode_cls`` runs on packed rows of the unmasked
+    positions and gives what the recorded, padded forward gives."""
+
+    @pytest.mark.parametrize("case", PACKED_CASES)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("d_model", [16, 32])
+    def test_agrees_with_recorded_forward(self, case, n_layers, d_model):
+        cfg = EncoderConfig(**{**CFG.__dict__, "n_layers": n_layers,
+                               "d_model": d_model})
+        params = init_encoder_params(cfg)
+        ids, mask = PACKED_CASES[case]
+        recorded, packed = recorded_and_packed(
+            cfg, params, batch_of(ids, mask=np.array(mask, dtype=bool)))
+        assert packed.shape == (len(ids), d_model)
+        np.testing.assert_allclose(packed, recorded, rtol=0, atol=1e-12)
+
+    def test_position_wise_work_runs_on_unmasked_rows(self, monkeypatch):
+        shapes, layer_norm = [], ad.layer_norm
+
+        def recording_norm(x, gamma, beta):
+            shapes.append(x.shape)
+            return layer_norm(x, gamma, beta)
+
+        monkeypatch.setattr(ad, "layer_norm", recording_norm)
+        ids, mask = PACKED_CASES["mixed"]
+        with ad.no_grad():
+            encode_cls(CFG, init_encoder_params(CFG),
+                       batch_of(ids, mask=np.array(mask, dtype=bool)))
+        n, d = int(np.sum(mask)), CFG.d_model
+        # layer 0 twice on rows, then the last layer's ln1, its CLS ln2, ln_f
+        assert shapes == [(n, d), (n, d), (n, d), (3, 1, d), (3, 1, d)]
+
+    def test_bit_equal_on_default_benchmark(self):
+        """Every forward-only batch that eval and align encode on the default
+        benchmark: each language's test split and the train split."""
+        cfg = ExperimentConfig()
+        bench = prepare_benchmark(cfg)
+        model = build_model(cfg, len(bench.corpus.vocab),
+                            bench.store.vector_dim(cfg.feature_sets), 1)
+        corpora = [bench.corpus.subset("train")] + [
+            bench.corpus.for_langs([lang]).subset("test")
+            for lang in bench.seen + bench.unseen]
+        batches = [b for corpus in corpora for b in eval_batches(corpus, cfg)]
+        assert len(batches) > len(corpora)
+        for batch in batches:
+            recorded, packed = recorded_and_packed(model.cfg, model.encoder, batch)
+            np.testing.assert_array_equal(packed.view(np.uint64),
+                                          recorded.view(np.uint64))
 
 
 class TestPooling:

@@ -1,5 +1,7 @@
 import csv
+import ctypes
 import hashlib
+import multiprocessing
 import os
 import resource
 import xml.etree.ElementTree as ET
@@ -39,6 +41,19 @@ DEFAULT_CORPUS_SHA256 = (
 
 def fast_cfg(**overrides):
     return ExperimentConfig(**{**FAST, **overrides})
+
+
+def forked_blas_thread_getter():
+    """numpy's bundled scipy-openblas thread-count getter, for a test whose
+    pool workers must inherit a patched function; skips where either fails."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers inherit a patched function only under fork")
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    get = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_",
+                  None) if libs else None
+    if get is None:
+        pytest.skip("numpy bundles no scipy-openblas here")
+    return get
 
 
 class TestMetrics:
@@ -359,6 +374,27 @@ class TestFamilySplit:
                        for r in reports]
         assert unseen_sets[0] == unseen_sets[1] == ("syn08", "syn09")
 
+    def test_pooled_groups_match_one_process(self):
+        g1 = tuple(f"syn{i:02d}" for i in range(2))
+        g2 = tuple(f"syn{i:02d}" for i in range(4))
+        cfg = fast_cfg(unseen=("syn04", "syn05"), family_groups=(g1, g2))
+        one = family_split_experiment(replace(cfg, threads=1), seed=2)
+        pooled = family_split_experiment(replace(cfg, threads=2), seed=2)
+        assert [(r.rows, r.aggregates, r.trace, r.config_hash) for r in pooled] == [
+            (r.rows, r.aggregates, r.trace, r.config_hash) for r in one]
+
+    def test_group_workers_run_blas_on_one_thread(self, monkeypatch):
+        import lingualchemy.harness as harness
+
+        get = forked_blas_thread_getter()
+        before = get()
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda cfg, seed, persist: (cfg.seen, get()))
+        groups = (("syn00",), ("syn00", "syn01"), ("syn00", "syn01", "syn02"))
+        cfg = fast_cfg(unseen=("syn05",), family_groups=groups, threads=2)
+        assert family_split_experiment(cfg, seed=1) == [(g, 1) for g in groups]
+        assert get() == before
+
     def test_missing_groups_rejected(self):
         with pytest.raises(ConfigError, match="family_groups"):
             family_split_experiment(fast_cfg(unseen=("syn05",)), seed=1)
@@ -439,18 +475,9 @@ class TestSweepBenchmarkReuse:
         assert len(rows) == 7
 
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
-        import ctypes
-        import multiprocessing
-
         import lingualchemy.harness as harness
 
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers inherit the patched cell only under fork")
-        libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
-        get = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_",
-                      None) if libs else None
-        if get is None:
-            pytest.skip("numpy bundles no scipy-openblas here")
+        get = forked_blas_thread_getter()
         before = get()
         monkeypatch.setattr(harness, "_run_cell", lambda cfg, seed, bench: get())
         cfg = fast_cfg(threads=2)

@@ -6,6 +6,7 @@ either. A parameter that comes back here has to come back with an entry
 point that sets it.
 """
 
+import argparse
 import inspect
 from dataclasses import fields
 
@@ -95,3 +96,36 @@ class TestOneHomePerRule:
     @pytest.mark.parametrize("name", ["write_corpus_tsv", "write_uriel_tsv"])
     def test_cli_writes_no_data_file_itself(self, name):
         assert not hasattr(cli, name)
+
+
+class TestNoLayoutSwitch:
+    """The encoder's row layout follows the recording state alone: no
+    parameter, config key or flag selects packed or padded states."""
+
+    def test_encode_cls_takes_config_params_batch(self):
+        assert list(inspect.signature(encoder.encode_cls).parameters) == [
+            "cfg", "params", "batch"]
+
+    def test_config_fields_pinned(self):
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "feature_sets", "scaling", "factor", "epochs", "batch_size", "lr",
+            "weight_decay", "seeds", "d_model", "n_layers", "n_heads",
+            "max_seq_len", "seen", "unseen", "family_groups", "categories",
+            "n_langs", "n_families", "n_per_lang", "n_classes", "gen_seed",
+            "store_dir", "corpus", "out_dir", "threads"]
+
+    def test_cli_flags_pinned(self):
+        parser = cli.build_parser()
+        flags = {"": [o for a in parser._actions for o in a.option_strings]}
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                flags.update({name: [o for a in sub._actions for o in a.option_strings]
+                              for name, sub in action.choices.items()})
+        run_dir = ["-h", "--help", "--run-dir"]
+        assert flags == {"": ["-h", "--help", "--config", "--seed", "--out",
+                              "--threads"],
+                         "gen": ["-h", "--help"], "train": ["-h", "--help"],
+                         "eval": run_dir, "align": run_dir,
+                         "sweep-scale": ["-h", "--help"],
+                         "sweep-features": ["-h", "--help"],
+                         "family-gen": ["-h", "--help"]}
