@@ -23,7 +23,8 @@ bench = prepare_benchmark(ExperimentConfig(n_langs=8, n_families=4,
 corpus, store = bench.corpus, bench.store
 train = corpus.subset("train").examples
 
-cfg = EncoderConfig(vocab_size=len(corpus.vocab), d_model=32, seed=1)
+cfg = EncoderConfig(vocab_size=len(corpus.vocab), d_model=32, n_heads=4, n_layers=2,
+                    max_seq_len=32, seed=1)
 model = init_alchemy_model(cfg, n_outputs=4,
                            d_uriel=store.vector_dim(ALL_FEATURE_SETS))
 scaling = ConstantScaling(10.0)

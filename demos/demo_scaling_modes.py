@@ -20,7 +20,8 @@ corpus, store = bench.corpus, bench.store
 train = corpus.subset("train").examples
 
 for scaling in (ConstantScaling(10.0), AlchemyScale(), AlchemyTune()):
-    cfg = EncoderConfig(vocab_size=len(corpus.vocab), d_model=32, seed=0)
+    cfg = EncoderConfig(vocab_size=len(corpus.vocab), d_model=32, n_heads=4,
+                        n_layers=2, max_seq_len=32, seed=0)
     model = init_alchemy_model(cfg, n_outputs=4,
                                d_uriel=store.vector_dim(ALL_FEATURE_SETS))
     opt = make_optimizer(model, scaling, lr=1e-3)

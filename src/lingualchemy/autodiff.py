@@ -26,6 +26,7 @@ _grad_enabled = True
 def no_grad():
     """Disable graph construction inside the block (evaluation fast path)."""
     global _grad_enabled
+    _keep_heap_mapped()
     prev = _grad_enabled
     _grad_enabled = False
     try:
@@ -505,7 +506,8 @@ _HEAP_KEEP_BYTES = 32 << 20
 
 @functools.cache
 def _keep_heap_mapped() -> None:
-    """Let glibc keep freed memory mapped, once per process.
+    """Let glibc keep freed memory mapped, once per process: the first
+    ``AdamW`` or ``no_grad`` block applies it.
 
     A training step frees megabytes of temporaries and allocates them again
     in the next step. By default glibc serves the large ones with fresh

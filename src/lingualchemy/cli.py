@@ -116,13 +116,10 @@ def cmd_family_gen(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for seed in cfg.seeds:
-        reports = family_split_experiment(cfg, seed=seed)
-        for group, report in enumerate(reports, start=1):
-            rows += [(lang, group, seed, value)
-                     for lang, split_tag, value in report.rows
-                     if split_tag == "unseen"]
+    rows = [(lang, group, seed, value)
+            for seed, reports in zip(cfg.seeds, family_split_experiment(cfg))
+            for group, report in enumerate(reports, start=1)
+            for lang, split_tag, value in report.rows if split_tag == "unseen"]
     write_csv(out / "family_trajectory.csv", ["lang", "group", "seed", "value"], rows)
     print(f"wrote {out / 'family_trajectory.csv'}")
     return 0

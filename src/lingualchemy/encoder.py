@@ -17,12 +17,14 @@ from .autodiff import Tensor
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """The architecture and init seed; ``ExperimentConfig`` holds the defaults."""
+
     vocab_size: int
-    d_model: int = 64
-    n_heads: int = 4
-    n_layers: int = 2
-    max_seq_len: int = 32
-    seed: int = 0
+    d_model: int
+    n_heads: int
+    n_layers: int
+    max_seq_len: int
+    seed: int
 
     def __post_init__(self):
         if self.d_model < 1 or self.n_heads < 1 or self.d_model % self.n_heads:

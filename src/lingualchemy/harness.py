@@ -552,29 +552,23 @@ def _aggregate(rows, categories: dict[str, str]) -> dict[str, float]:
     return aggregates
 
 
-def family_split_experiment(cfg: ExperimentConfig,
-                            seed: int | None = None) -> list[MetricsReport]:
-    """One report per cumulative training group, fixed unseen evaluation set.
+def family_split_experiment(cfg: ExperimentConfig) -> list[list[MetricsReport]]:
+    """For each seed of ``cfg``, one report per cumulative training group,
+    all on a fixed unseen evaluation set.
 
-    The groups run on a pool as wide as a sweep's (``_pool_width``), whose
-    workers run BLAS on one thread, each building its own group's benchmark."""
+    Each group's benchmark (its own seen languages, so its own vocabulary) is
+    built once; the (seed, group) runs are cells of one sweep pool, seed-major."""
     if not cfg.family_groups:
         raise ConfigError("family_groups must be set for the family experiment")
     if not cfg.unseen:
         raise ConfigError("unseen languages must be set for the family experiment")
-    jobs = [(replace(cfg, seen=tuple(group), family_groups=()), seed)
-            for group in cfg.family_groups]
-    width = _pool_width(cfg, len(jobs))
-    if width == 1:
-        return [_run_group(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=width,
-                             initializer=_pin_blas_to_one_thread) as pool:
-        return list(pool.map(_run_group, jobs))
-
-
-def _run_group(job) -> MetricsReport:
-    """One family group's run, on the benchmark it builds for its own seen set."""
-    return run_experiment(*job, persist=False)
+    groups = [replace(cfg, seen=tuple(group), family_groups=())
+              for group in cfg.family_groups]
+    benches = [_sweep_benchmark(gcfg) for gcfg in groups]
+    reports = _run_cells(cfg, benches, [(gcfg, seed, i) for seed in cfg.seeds
+                                        for i, gcfg in enumerate(groups)])
+    n = len(groups)
+    return [reports[i:i + n] for i in range(0, len(reports), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +586,20 @@ class SweepRow:
         return float(np.mean([v for _, v in self.per_seed]))
 
 
-def _run_cell(cfg: ExperimentConfig, seed: int, bench: Benchmark) -> float:
-    report = run_experiment(cfg, seed=seed, persist=False, benchmark=bench)
-    return report.aggregates["unseen_mean"]
+def _run_cell(job, benches: list[Benchmark]) -> MetricsReport:
+    """The report of a ``(cfg, seed, i)`` job, run on ``benches[i]``."""
+    vcfg, seed, i = job
+    return run_experiment(vcfg, seed=seed, persist=False, benchmark=benches[i])
 
 
-# A pool worker's sweep benchmark, set once per worker rather than sent with
-# every cell: under ``fork`` the workers inherit it and it is never pickled.
-_worker_benchmark: Benchmark | None = None
+# A pool worker's benchmarks, set once per worker rather than sent with every
+# cell: under ``fork`` the workers inherit them and they are never pickled.
+_worker_benchmarks: list[Benchmark] = []
 
 
-def _set_worker_benchmark(bench: Benchmark) -> None:
-    global _worker_benchmark
-    _worker_benchmark = bench
+def _set_worker_benchmarks(benches: list[Benchmark]) -> None:
+    global _worker_benchmarks
+    _worker_benchmarks = benches
     _pin_blas_to_one_thread()
 
 
@@ -625,8 +620,8 @@ def _pin_blas_to_one_thread() -> None:
                 return
 
 
-def _run_worker_cell(job) -> float:
-    return _run_cell(*job, _worker_benchmark)
+def _run_worker_cell(job) -> MetricsReport:
+    return _run_cell(job, _worker_benchmarks)
 
 
 def _pool_width(cfg: ExperimentConfig, n_jobs: int) -> int:
@@ -634,43 +629,48 @@ def _pool_width(cfg: ExperimentConfig, n_jobs: int) -> int:
     return max(1, min(width, n_jobs))
 
 
-def _with_progress(values, n: int) -> list[float]:
-    """``values`` as a list, with one stderr line as each one arrives."""
+def _with_progress(reports, n: int) -> list[MetricsReport]:
+    """``reports`` as a list, with one stderr line as each one arrives."""
     out = []
-    for i, value in enumerate(values, start=1):
-        print(f"sweep cell {i}/{n}: unseen mean {value:.4f}", file=sys.stderr,
-              flush=True)
-        out.append(value)
+    for i, report in enumerate(reports, start=1):
+        print(f"sweep cell {i}/{n}: unseen mean "
+              f"{report.aggregates['unseen_mean']:.4f}", file=sys.stderr, flush=True)
+        out.append(report)
     return out
 
 
-def _run_cells(cfg: ExperimentConfig, bench: Benchmark, jobs: list) -> list[float]:
-    """Unseen means of the ``(cfg, seed)`` jobs, all on ``bench``; each
-    finished cell writes a progress line to stderr, in job order."""
+def _run_cells(cfg: ExperimentConfig, benches: list[Benchmark],
+               jobs: list) -> list[MetricsReport]:
+    """Reports of the ``(cfg, seed, i)`` jobs, each run on ``benches[i]``, on
+    a pool ``_pool_width`` wide; each finished cell writes a progress line
+    to stderr, in job order."""
     width = _pool_width(cfg, len(jobs))
     if width == 1:
-        return _with_progress((_run_cell(vcfg, seed, bench) for vcfg, seed in jobs),
-                              len(jobs))
-    with ProcessPoolExecutor(max_workers=width, initializer=_set_worker_benchmark,
-                             initargs=(bench,)) as pool:
+        return _with_progress((_run_cell(job, benches) for job in jobs), len(jobs))
+    with ProcessPoolExecutor(max_workers=width, initializer=_set_worker_benchmarks,
+                             initargs=(benches,)) as pool:
         return _with_progress(pool.map(_run_worker_cell, jobs), len(jobs))
 
 
 def _sweep_benchmark(cfg: ExperimentConfig) -> Benchmark:
-    """The one benchmark that every cell of a sweep trains and evaluates on."""
+    """The benchmark that cells of ``cfg`` train and evaluate on. Its unseen
+    languages must have test examples for a cell to take their mean."""
     bench = prepare_benchmark(cfg)
     if not bench.unseen:
         raise ConfigError("sweeps compare unseen-language means; configure "
                           "unseen languages (or generate enough languages "
                           "for the default split to leave some unseen)")
+    if not bench.corpus.for_langs(bench.unseen).subset("test").examples:
+        raise DataError("no test examples for the unseen languages: "
+                        + ", ".join(bench.unseen))
     return bench
 
 
 def _sweep(cfg: ExperimentConfig, bench: Benchmark, variants) -> list[SweepRow]:
     """One row per ``(label, variant config, recommended)``, each variant run
     on every seed of ``cfg``, all cells on ``bench``."""
-    jobs = [(vcfg, seed) for _, vcfg, _ in variants for seed in cfg.seeds]
-    values = _run_cells(cfg, bench, jobs)
+    jobs = [(vcfg, seed, 0) for _, vcfg, _ in variants for seed in cfg.seeds]
+    values = [r.aggregates["unseen_mean"] for r in _run_cells(cfg, [bench], jobs)]
     n = len(cfg.seeds)
     return [SweepRow(label=label, recommended=recommended,
                      per_seed=tuple(zip(cfg.seeds, values[i * n:(i + 1) * n])))

@@ -280,7 +280,8 @@ class TestCriterion7OverfitSmoke:
             n_langs=2, n_families=1, n_per_lang=100, n_classes=4, gen_seed=7))
         corpus, store = bench.corpus, bench.store
         examples = corpus.examples  # all 200, every split
-        cfg = EncoderConfig(vocab_size=len(corpus.vocab), seed=7)
+        cfg = EncoderConfig(vocab_size=len(corpus.vocab), d_model=64, n_heads=4,
+                            n_layers=2, max_seq_len=32, seed=7)
         model = init_alchemy_model(cfg, n_outputs=4,
                                    d_uriel=store.vector_dim(ALL_FEATURE_SETS))
         scaling = ConstantScaling(1.0)
@@ -317,7 +318,9 @@ def bench_data():
 def _run_jobs(bench, jobs):
     """Unseen means of the ``(cfg, seed)`` jobs on ``bench``, in job order, as
     sweep cells on one pool of 2 workers."""
-    return _run_cells(replace(BENCH, threads=2), bench, jobs)
+    reports = _run_cells(replace(BENCH, threads=2), [bench],
+                         [(cfg, seed, 0) for cfg, seed in jobs])
+    return [r.aggregates["unseen_mean"] for r in reports]
 
 
 @pytest.fixture(scope="module")

@@ -407,6 +407,42 @@ class TestSweeps:
         assert flagged[0][0] == "syntax_knn+syntax_avg+geo"
 
 
+class TestUnseenWithoutTestRows:
+    @pytest.mark.parametrize("command", ["sweep-scale", "family-gen"])
+    def test_exits_3_before_training(self, tmp_path, capsys, monkeypatch,
+                                     command):
+        import lingualchemy.harness as harness
+
+        synthetic = tmp_path / "synthetic.cfg"
+        synthetic.write_text(FAST_CFG.replace("n_langs = 6", "n_langs = 9"),
+                             encoding="utf-8")
+        gen = tmp_path / "gen"
+        assert run_cli("--config", str(synthetic), "--out", str(gen), "gen") == 0
+        _, seen, _, unseen = (gen / "languages.txt").read_text(
+            encoding="utf-8").split()
+        corpus = gen / "corpus.tsv"
+        lines = []
+        for line in corpus.read_text(encoding="utf-8").splitlines():
+            lang, label, tokens, split = line.split("\t")
+            if lang in unseen.split(",") and split == "test":
+                split = "dev"
+            lines.append("\t".join((lang, label, tokens, split)))
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        first = seen.split(",")[0]
+        user = tmp_path / "user.cfg"
+        user.write_text(FAST_CFG + f"store_dir = {gen / 'store'}\n"
+                        f"corpus = {corpus}\nseen = {seen}\nunseen = {unseen}\n"
+                        f"family_groups = {first} | {seen}\n", encoding="utf-8")
+        monkeypatch.setattr(harness, "train_loop",
+                            lambda *args, **kwargs: pytest.fail("trained"))
+        capsys.readouterr()
+        assert run_cli("--config", str(user), "--out", str(tmp_path / "out"),
+                       command) == 3
+        assert capsys.readouterr().err == (
+            "data error: no test examples for the unseen languages: "
+            + unseen.replace(",", ", ") + "\n")
+
+
 class TestFamilyGen:
     def test_trajectory_csv(self, tmp_path):
         cfg = tmp_path / "fam.cfg"
@@ -425,14 +461,40 @@ class TestFamilyGen:
         groups = {r[1] for r in rows[1:]}
         assert groups == {"1", "2"}
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_stderr_line_per_seed_and_group(self, tmp_path, capsys,
+                                                 threads):
+        cfg = tmp_path / "fam.cfg"
+        cfg.write_text(FAST_CFG.replace("seeds = 1", "seeds = 1,2")
+                       .replace("epochs = 2", "epochs = 0")
+                       .replace("threads = 1", f"threads = {threads}")
+                       + "[languages]\n"
+                       + "unseen = syn04,syn05\n"
+                       + "family_groups = syn00 | syn00,syn01 | "
+                         "syn00,syn01,syn02\n",
+                       encoding="utf-8")
+        out = tmp_path / "fam"
+        capsys.readouterr()
+        assert run_cli("--config", str(cfg), "--out", str(out),
+                       "family-gen") == 0
+        rows = read_numeric_csv(out / "family_trajectory.csv", 1)[1:]
+        # cells in job order: seed-major, then group
+        cells = [(seed, group) for seed in ("1", "2") for group in ("1", "2", "3")]
+        means = [float(np.mean([float(r[3]) for r in rows
+                                if (r[2], r[1]) == cell])) for cell in cells]
+        assert capsys.readouterr().err.splitlines() == [
+            f"sweep cell {i}/6: unseen mean {mean:.4f}"
+            for i, mean in enumerate(means, start=1)]
+
     def test_language_names_keep_their_separators(self, tmp_path, monkeypatch):
         import lingualchemy.cli as cli
         from lingualchemy.harness import MetricsReport
 
-        def two_groups(cfg, seed=None):
+        def two_groups(cfg):
             rows = (("a:b", "unseen", 0.5), ("c,d", "unseen", 0.25),
                     ("e", "seen", 1.0))
-            return [MetricsReport(rows, {}, [], "hash", seed)] * 2
+            return [[MetricsReport(rows, {}, [], "hash", seed)] * 2
+                    for seed in cfg.seeds]
 
         monkeypatch.setattr(cli, "family_split_experiment", two_groups)
         cfg = tmp_path / "fam.cfg"

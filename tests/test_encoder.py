@@ -25,16 +25,19 @@ def batch_of(ids, mask=None, langs=None):
 class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
-            EncoderConfig(vocab_size=10, d_model=10, n_heads=3)
+            EncoderConfig(vocab_size=10, d_model=10, n_heads=3, n_layers=2,
+                          max_seq_len=32, seed=0)
 
     def test_min_seq_len(self):
         with pytest.raises(ValueError, match="max_seq_len"):
-            EncoderConfig(vocab_size=10, max_seq_len=1)
+            EncoderConfig(vocab_size=10, d_model=64, n_heads=4, n_layers=2,
+                          max_seq_len=1, seed=0)
 
     @pytest.mark.parametrize("d_model, n_heads", [(16, 0), (16, -4), (0, 4)])
     def test_nonpositive_width_or_heads(self, d_model, n_heads):
         with pytest.raises(ValueError, match="positive"):
-            EncoderConfig(vocab_size=10, d_model=d_model, n_heads=n_heads)
+            EncoderConfig(vocab_size=10, d_model=d_model, n_heads=n_heads,
+                          n_layers=2, max_seq_len=32, seed=0)
 
 
 class TestInit:

@@ -4,6 +4,8 @@ import hashlib
 import multiprocessing
 import os
 import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -353,22 +355,22 @@ class TestRunExperiment:
 
 class TestFamilySplit:
     def test_single_group_equals_plain_run(self):
-        cfg = fast_cfg(n_langs=12, n_families=4,
+        cfg = fast_cfg(n_langs=12, n_families=4, seeds=(1,),
                        seen=(), unseen=("syn08", "syn09", "syn10", "syn11"),
                        family_groups=(tuple(f"syn{i:02d}" for i in range(8)),))
-        reports = family_split_experiment(cfg, seed=1)
-        assert len(reports) == 1
+        reports = family_split_experiment(cfg)
+        assert [len(per_seed) for per_seed in reports] == [1]
         direct = run_experiment(
             replace(cfg, seen=cfg.family_groups[0], family_groups=()),
             seed=1, persist=False)
-        assert reports[0].rows == direct.rows
+        assert reports[0][0].rows == direct.rows
 
     def test_two_groups_fixed_unseen(self):
         g1 = tuple(f"syn{i:02d}" for i in range(4))
         g2 = tuple(f"syn{i:02d}" for i in range(8))
         cfg = fast_cfg(n_langs=12, n_families=4, unseen=("syn08", "syn09"),
-                       family_groups=(g1, g2))
-        reports = family_split_experiment(cfg, seed=1)
+                       family_groups=(g1, g2), seeds=(1,))
+        [reports] = family_split_experiment(cfg)
         assert len(reports) == 2
         unseen_sets = [tuple(l for l, t, _ in r.rows if t == "unseen")
                        for r in reports]
@@ -377,9 +379,10 @@ class TestFamilySplit:
     def test_pooled_groups_match_one_process(self):
         g1 = tuple(f"syn{i:02d}" for i in range(2))
         g2 = tuple(f"syn{i:02d}" for i in range(4))
-        cfg = fast_cfg(unseen=("syn04", "syn05"), family_groups=(g1, g2))
-        one = family_split_experiment(replace(cfg, threads=1), seed=2)
-        pooled = family_split_experiment(replace(cfg, threads=2), seed=2)
+        cfg = fast_cfg(unseen=("syn04", "syn05"), family_groups=(g1, g2),
+                       seeds=(2,))
+        [one] = family_split_experiment(replace(cfg, threads=1))
+        [pooled] = family_split_experiment(replace(cfg, threads=2))
         assert [(r.rows, r.aggregates, r.trace, r.config_hash) for r in pooled] == [
             (r.rows, r.aggregates, r.trace, r.config_hash) for r in one]
 
@@ -388,16 +391,42 @@ class TestFamilySplit:
 
         get = forked_blas_thread_getter()
         before = get()
-        monkeypatch.setattr(harness, "run_experiment",
-                            lambda cfg, seed, persist: (cfg.seen, get()))
+
+        def cell(cfg, seed, persist, benchmark):
+            return MetricsReport(rows=(), aggregates={"unseen_mean": get()},
+                                 trace=[], config_hash=",".join(cfg.seen),
+                                 seed=seed)
+
+        monkeypatch.setattr(harness, "run_experiment", cell)
         groups = (("syn00",), ("syn00", "syn01"), ("syn00", "syn01", "syn02"))
-        cfg = fast_cfg(unseen=("syn05",), family_groups=groups, threads=2)
-        assert family_split_experiment(cfg, seed=1) == [(g, 1) for g in groups]
+        cfg = fast_cfg(unseen=("syn05",), family_groups=groups, threads=2,
+                       seeds=(1,))
+        [reports] = family_split_experiment(cfg)
+        assert [(r.config_hash, r.aggregates["unseen_mean"]) for r in reports] \
+            == [(",".join(g), 1) for g in groups]
         assert get() == before
 
     def test_missing_groups_rejected(self):
         with pytest.raises(ConfigError, match="family_groups"):
-            family_split_experiment(fast_cfg(unseen=("syn05",)), seed=1)
+            family_split_experiment(fast_cfg(unseen=("syn05",)))
+
+    def test_two_seeds_build_each_group_benchmark_once(self, monkeypatch):
+        import lingualchemy.harness as harness
+
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg.seen)
+            return prepare_benchmark(cfg)
+
+        monkeypatch.setattr(harness, "prepare_benchmark", counting)
+        groups = (("syn00", "syn01"), ("syn00", "syn01", "syn02"))
+        cfg = fast_cfg(unseen=("syn05",), family_groups=groups, epochs=0,
+                       seeds=(1, 2), threads=1)
+        reports = family_split_experiment(cfg)
+        assert calls == list(groups)
+        assert [[r.seed for r in per_seed] for per_seed in reports] == [[1, 1],
+                                                                         [2, 2]]
 
 
 class TestSweepConsistency:
@@ -466,22 +495,36 @@ class TestSweepBenchmarkReuse:
             pytest.skip("workers inherit the benchmark only under fork")
 
         def refuse(self, protocol):
-            raise AssertionError("the sweep benchmark was pickled")
+            raise AssertionError("a benchmark was pickled")
 
         monkeypatch.setattr(harness.Benchmark, "__reduce_ex__", refuse)
         cfg = fast_cfg(n_langs=9, n_families=3, n_per_lang=24, epochs=1,
                        seeds=(1,), threads=2)
         rows = harness.scaling_sweep(cfg)
         assert len(rows) == 7
+        # the family split's pool holds one benchmark per group
+        groups = (("syn00", "syn01"), ("syn00", "syn01", "syn02"))
+        reports = harness.family_split_experiment(replace(
+            cfg, unseen=("syn07",), family_groups=groups, epochs=0, seeds=(1, 2)))
+        assert [len(per_seed) for per_seed in reports] == [2, 2]
 
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
         import lingualchemy.harness as harness
 
         get = forked_blas_thread_getter()
         before = get()
-        monkeypatch.setattr(harness, "_run_cell", lambda cfg, seed, bench: get())
+
+        def cell(job, benches):
+            return MetricsReport(rows=(), aggregates={"unseen_mean": get()},
+                                 trace=[], config_hash=benches[job[2]], seed=job[1])
+
+        monkeypatch.setattr(harness, "_run_cell", cell)
         cfg = fast_cfg(threads=2)
-        assert harness._run_cells(cfg, None, [(cfg, s) for s in range(4)]) == [1] * 4
+        reports = harness._run_cells(cfg, ["a", "b"],
+                                     [(cfg, s, s % 2) for s in range(4)])
+        assert [(r.seed, r.config_hash, r.aggregates["unseen_mean"])
+                for r in reports] == [(0, "a", 1), (1, "b", 1), (2, "a", 1),
+                                      (3, "b", 1)]
         assert get() == before
 
     def test_sweep_without_unseen_languages_rejected(self):
@@ -592,6 +635,50 @@ class TestHeapStaysMapped:
                        scaling, opt)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / measured < 5, f"{faults / measured:.1f} faults per step"
+
+
+# Forward passes only, in a process that has built no AdamW: prints the minor
+# page faults per batch once every batch has run once.
+_PREDICT_FAULTS = """
+import resource
+from lingualchemy import autodiff
+from lingualchemy.alchemy import predict_classes
+from lingualchemy.harness import (ExperimentConfig, build_model, eval_batches,
+                                  prepare_benchmark)
+
+def refuse(*args, **kwargs):
+    raise AssertionError("built an AdamW")
+
+autodiff.AdamW.__init__ = refuse
+cfg = ExperimentConfig()
+bench = prepare_benchmark(cfg)
+model = build_model(cfg, len(bench.corpus.vocab),
+                    bench.store.vector_dim(cfg.feature_sets), seed=1)
+batches = eval_batches(bench.corpus.subset("test"), cfg)
+for batch in batches:
+    predict_classes(model, batch)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for batch in batches * 3:
+    predict_classes(model, batch)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults / (3 * len(batches)))
+"""
+
+
+class TestHeapStaysMappedWithoutTraining:
+    @pytest.mark.skipif(not _glibc(), reason="the heap setting is glibc's")
+    def test_forward_only_process_faults_few_pages(self):
+        """``eval`` and ``align`` build no optimizer, so ``no_grad`` applies
+        the heap setting too: without it a default prediction batch of 64
+        faulted about 900 pages in again."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _PREDICT_FAULTS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        per_batch = float(done.stdout)
+        assert per_batch < 50, f"{per_batch:.1f} faults per batch"
 
 
 class TestExportReport:

@@ -8,12 +8,13 @@ point that sets it.
 
 import argparse
 import inspect
-from dataclasses import fields
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
 from lingualchemy import autodiff as ad
-from lingualchemy import cli, encoder
+from lingualchemy import cli, encoder, harness
 from lingualchemy.alchemy import AlchemyScale, AlchemyTune, init_alchemy_model
 from lingualchemy.alignment import GradientDescent
 from lingualchemy.autodiff import AdamW, Tensor
@@ -56,6 +57,26 @@ class TestFixedValues:
 
     def test_benchmark_has_no_families_field(self):
         assert "families" not in {f.name for f in fields(Benchmark)}
+
+    def test_encoder_config_has_no_defaults(self):
+        # the architecture's defaults live in ExperimentConfig alone
+        assert [f.name for f in fields(encoder.EncoderConfig)
+                if f.default is not MISSING] == []
+
+
+class TestOneCellRunner:
+    """The sweeps and the family split run their cells through
+    ``harness._run_cells``, the one place that starts a process pool."""
+
+    def test_family_split_takes_the_config_alone(self):
+        assert list(inspect.signature(harness.family_split_experiment)
+                    .parameters) == ["cfg"]
+        assert not hasattr(harness, "_run_group")
+
+    def test_one_process_pool_in_the_package(self):
+        sources = Path(harness.__file__).parent.glob("*.py")
+        assert sum(path.read_text(encoding="utf-8").count("ProcessPoolExecutor(")
+                   for path in sources) == 1
 
 
 class TestEqualShapeBinaryOps:

@@ -29,23 +29,22 @@ class TestFamilySplitDirection:
             unseen=("syn08", "syn09", "syn10", "syn11"),
             family_groups=(g1, g2))
         target = "syn10"                                   # family 2, unseen
-        wins = 0
-        for seed in cfg.seeds:
-            without, with_family = family_split_experiment(cfg, seed=seed)
-            wins += with_family.value(target) > without.value(target)
+        wins = sum(with_family.value(target) > without.value(target)
+                   for without, with_family in family_split_experiment(cfg))
         assert wins >= 4, f"only {wins}/5 seeds improved {target}"
 
 
 class TestTrainLoopRuntime:
     def test_thirty_epochs_within_budget(self):
         """A 30-epoch run over the default corpus (<= 5k examples) stays
-        under two minutes on one core, using the wider default encoder."""
+        under two minutes on one core, using a width-64 encoder."""
         bench = prepare_benchmark(ExperimentConfig(n_per_lang=250))
         corpus, store = bench.corpus, bench.store
         assert len(bench.seen) == 8  # the vocabulary covers these only
         train = corpus.for_langs(bench.seen).subset("train").examples
         assert len(train) <= 5000
-        cfg = EncoderConfig(vocab_size=len(corpus.vocab), seed=1)  # d_model 64
+        cfg = EncoderConfig(vocab_size=len(corpus.vocab), d_model=64, n_heads=4,
+                            n_layers=2, max_seq_len=32, seed=1)
         model = init_alchemy_model(cfg, n_outputs=4,
                                    d_uriel=store.vector_dim(ALL_FEATURE_SETS))
 
