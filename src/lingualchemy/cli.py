@@ -19,7 +19,7 @@ from .harness import (ExperimentConfig, ablation_sweep, config_items,
                       eval_batches, evaluate_languages, export_sweep,
                       family_split_experiment, load_run, parse_config,
                       prepare_benchmark, run_experiment, scaling_sweep,
-                      svg_line_chart, write_benchmark)
+                      svg_bar_chart, write_benchmark)
 
 EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 2, 3, 4
 
@@ -86,30 +86,30 @@ def cmd_align(args) -> int:
     return 0
 
 
-def cmd_sweep_scale(args) -> int:
+def _write_sweep(args, sweep, stem: str, title: str) -> int:
+    """Run ``sweep`` on the config and write ``<stem>.csv`` and a bar chart of
+    the row means, ``<stem>.svg``, with the recommended rows in orange."""
     cfg = _load_config(args)
-    rows = scaling_sweep(cfg)
+    rows = sweep(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    export_sweep(rows, out / "scaling_sweep.csv")
-    (out / "scaling_sweep.svg").write_text(
-        svg_line_chart({r.label: r.mean for r in rows},
-                       title="unseen mean vs scaling"), encoding="utf-8")
-    for row in rows:
-        print(f"{row.label}\t{row.mean:.4f}")
-    return 0
-
-
-def cmd_sweep_features(args) -> int:
-    cfg = _load_config(args)
-    rows = ablation_sweep(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    export_sweep(rows, out / "feature_ablation.csv")
+    export_sweep(rows, out / f"{stem}.csv")
+    (out / f"{stem}.svg").write_text(
+        svg_bar_chart([r.label for r in rows], [r.mean for r in rows],
+                      [r.recommended for r in rows], title), encoding="utf-8")
     for row in rows:
         marker = " *" if row.recommended else ""
         print(f"{row.label}\t{row.mean:.4f}{marker}")
     return 0
+
+
+def cmd_sweep_scale(args) -> int:
+    return _write_sweep(args, scaling_sweep, "scaling_sweep", "unseen mean vs scaling")
+
+
+def cmd_sweep_features(args) -> int:
+    return _write_sweep(args, ablation_sweep, "feature_ablation",
+                        "unseen mean by feature sets")
 
 
 def cmd_family_gen(args) -> int:

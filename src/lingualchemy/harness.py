@@ -90,6 +90,15 @@ class ExperimentConfig:
     threads: int = 0
 
     def __post_init__(self):
+        for key, values in (("seeds", self.seeds), ("seen", self.seen),
+                            ("unseen", self.unseen),
+                            ("feature_sets", [fs.value for fs in self.feature_sets]),
+                            ("categories", [lang for lang, _ in self.categories]),
+                            *((f"family group {i + 1}", group)
+                              for i, group in enumerate(self.family_groups))):
+            repeated = sorted({str(v) for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{key} repeats {', '.join(repeated)}")
         overlap = sorted(set(self.seen) & set(self.unseen))
         if overlap:
             raise ConfigError(f"languages listed as both seen and unseen: "
@@ -109,8 +118,6 @@ class ExperimentConfig:
                               f"got {self.scaling!r}")
         if not self.feature_sets:
             raise ConfigError("feature_sets must be nonempty")
-        if len(set(self.feature_sets)) != len(self.feature_sets):
-            raise ConfigError("feature_sets contains duplicates")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0:
@@ -327,8 +334,11 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
     seen, unseen = cfg.seen, cfg.unseen
     if not seen:
         default_seen, default_unseen = _default_split(langs, cfg.n_families)
-        seen = default_seen
-        unseen = unseen or tuple(l for l in default_unseen if l not in seen)
+        seen = tuple(l for l in default_seen if l not in unseen)
+        unseen = unseen or default_unseen
+        if not seen:
+            raise ConfigError("the unseen languages leave no language of the "
+                              "default seen split; list the seen languages")
     missing = sorted((set(seen) | set(unseen)) - set(langs))
     if missing:
         raise DataError(f"languages not present in the data: {', '.join(missing)}")
@@ -482,8 +492,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
 
 def load_run(run_dir) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
     """The config (its config.resolved), benchmark and trained model of a
-    directory that ``run_experiment`` persisted; the checkpoint must name and
-    shape every parameter.
+    directory that ``run_experiment`` persisted; the checkpoint must hold
+    every parameter, in its shape, and nothing else.
 
     The benchmark is the run's own ``write_benchmark`` files: corpus and
     store read as user data (``prepare_benchmark``'s label and language
@@ -499,7 +509,12 @@ def load_run(run_dir) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
     model = build_model(cfg, len(vocab), bench.store.vector_dim(cfg.feature_sets),
                         cfg.seeds[0])
     weights = load_checkpoint(run_dir / "checkpoint.lalc")
-    for name, tensor in model.named_parameters():
+    named = model.named_parameters()
+    extra = sorted(set(weights) - {name for name, _ in named})
+    if extra:
+        raise DataError(f"checkpoint holds tensors the model lacks: "
+                        f"{', '.join(extra)}")
+    for name, tensor in named:
         if name not in weights:
             raise DataError(f"checkpoint is missing parameter {name!r}")
         if weights[name].shape != tensor.data.shape:
@@ -722,10 +737,10 @@ def export_report(report: MetricsReport, directory) -> None:
               [[lang, split_tag, "accuracy", value]
                for lang, split_tag, value in report.rows])
     write_csv(directory / "trace.csv", TRACE_HEADER, report.trace)
-    labels = [lang for lang, _, _ in report.rows]
-    values = [v for _, _, v in report.rows]
-    tags = [t for _, t, _ in report.rows]
-    svg = svg_bar_chart(labels, values, tags, title="per-language accuracy")
+    svg = svg_bar_chart([lang for lang, _, _ in report.rows],
+                        [v for _, _, v in report.rows],
+                        [t == "unseen" for _, t, _ in report.rows],
+                        "per-language accuracy")
     (directory / "plot.svg").write_text(svg, encoding="utf-8")
 
 
@@ -736,63 +751,30 @@ def _svg_escape(text: str) -> str:
 SVG_WIDTH, SVG_HEIGHT = 640, 320   # pixel size of every chart
 
 
-def _svg_document(title: str, parts: list[str]) -> str:
-    """An SVG_WIDTH x SVG_HEIGHT document: the centred title, then ``parts``."""
-    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
-            f'height="{SVG_HEIGHT}">',
-            f'<text x="{SVG_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="13">{_svg_escape(title)}</text>']
-    return "\n".join(head + parts + ["</svg>"]) + "\n"
-
-
-def svg_bar_chart(labels, values, groups, title="") -> str:
-    """Self-contained bar chart; blue bars for seen, orange for unseen."""
+def svg_bar_chart(labels, values, highlighted, title) -> str:
+    """Self-contained bar chart: one bar per value, orange where
+    ``highlighted`` is true and blue elsewhere."""
     pad, axis = 40, 30
     plot_w, plot_h = SVG_WIDTH - 2 * pad, SVG_HEIGHT - 2 * pad - axis
     vmax = max(max(values, default=0.0), 1e-9)
     n = max(len(values), 1)
     bar_w = plot_w / n * 0.8
     gap = plot_w / n * 0.2
-    parts = [f'<line x1="{pad}" y1="{pad + plot_h}" x2="{pad + plot_w}" '
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+             f'height="{SVG_HEIGHT}">',
+             f'<text x="{SVG_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+             f'font-size="13">{_svg_escape(title)}</text>',
+             f'<line x1="{pad}" y1="{pad + plot_h}" x2="{pad + plot_w}" '
              f'y2="{pad + plot_h}" stroke="black"/>']
-    for i, (label, value, group) in enumerate(zip(labels, values, groups)):
+    for i, (label, value, orange) in enumerate(zip(labels, values, highlighted)):
         h = plot_h * max(0.0, value) / vmax
         x = pad + i * (bar_w + gap)
         y = pad + plot_h - h
-        color = "#4477aa" if group == "seen" else "#ee7733"
+        color = "#ee7733" if orange else "#4477aa"
         parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
                      f'height="{h:.2f}" fill="{color}"/>')
         parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{pad + plot_h + 14:.2f}" '
                      f'text-anchor="middle" font-size="8">{_svg_escape(label)}</text>')
         parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{y - 3:.2f}" '
                      f'text-anchor="middle" font-size="8">{value:.3f}</text>')
-    return _svg_document(title, parts)
-
-
-def svg_line_chart(points: dict[str, float], title="") -> str:
-    """Self-contained line chart over ordered (label, value) pairs."""
-    pad = 50
-    labels = list(points)
-    values = list(points.values())
-    vmax = max(max(values, default=0.0), 1e-9)
-    vmin = min(min(values, default=0.0), 0.0)
-    span = max(vmax - vmin, 1e-9)
-    plot_w, plot_h = SVG_WIDTH - 2 * pad, SVG_HEIGHT - 2 * pad
-    n = max(len(values) - 1, 1)
-    coords = []
-    for i, v in enumerate(values):
-        x = pad + plot_w * i / n
-        y = pad + plot_h * (1.0 - (v - vmin) / span)
-        coords.append((x, y))
-    parts = []
-    if len(coords) > 1:
-        path = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
-        parts.append(f'<polyline points="{path}" fill="none" stroke="#4477aa" '
-                     'stroke-width="2"/>')
-    for (x, y), label, v in zip(coords, labels, values):
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#ee7733"/>')
-        parts.append(f'<text x="{x:.2f}" y="{SVG_HEIGHT - pad + 16:.2f}" '
-                     f'text-anchor="middle" font-size="9">{_svg_escape(label)}</text>')
-        parts.append(f'<text x="{x:.2f}" y="{y - 6:.2f}" text-anchor="middle" '
-                     f'font-size="8">{v:.3f}</text>')
-    return _svg_document(title, parts)
+    return "\n".join(parts + ["</svg>"]) + "\n"

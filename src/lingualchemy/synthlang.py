@@ -31,6 +31,7 @@ CLS_TOKEN = "<cls>"
 UNK_TOKEN = "<unk>"
 CLS_ID = 0
 UNK_ID = 1
+_RESERVED = {CLS_TOKEN: CLS_ID, UNK_TOKEN: UNK_ID}
 
 # Fixed reference points on the unit sphere (lat, lon in radians).
 GEO_ANCHORS = (
@@ -85,7 +86,7 @@ class Vocab:
             tokens.update(toks)
         tokens.discard(CLS_TOKEN)
         tokens.discard(UNK_TOKEN)
-        mapping = {CLS_TOKEN: CLS_ID, UNK_TOKEN: UNK_ID}
+        mapping = dict(_RESERVED)
         for i, tok in enumerate(sorted(tokens), start=2):
             mapping[tok] = i
         return cls(token_to_id=mapping)
@@ -100,7 +101,8 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        """Inverse of :meth:`save`: n distinct tokens with ids 0..n-1."""
+        """Inverse of :meth:`save`: n distinct tokens with ids 0..n-1, CLS and
+        UNK at their reserved ids."""
         lines = read_text_lines(path)
         mapping: dict[str, int] = {}
         line_of: dict[int, int] = {}
@@ -118,6 +120,12 @@ class Vocab:
             if i in line_of:
                 raise TsvFormatError(path, line_no, f"id {i} repeats line {line_of[i]}")
             mapping[tok], line_of[i] = i, line_no
+        for tok, i in _RESERVED.items():
+            if mapping.get(tok) != i:
+                # the token's own line, else the line holding its id, else
+                # the line after a file too short to hold it
+                line_no = line_of.get(mapping.get(tok, i), len(lines) + 1)
+                raise TsvFormatError(path, line_no, f"{tok!r} must have id {i}")
         return cls(token_to_id=mapping)
 
 

@@ -1,4 +1,5 @@
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,16 @@ def write_tsv(path: Path, header: list[str], rows: list[list[str]]) -> Path:
     lines = ["\t".join(header)] + ["\t".join(r) for r in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+ORANGE, BLUE = "#ee7733", "#4477aa"
+
+
+def bar_fills(path: Path) -> list[str]:
+    """The fill colour of each bar of an SVG chart, in order; the file must
+    parse as XML."""
+    root = ET.parse(path).getroot()
+    return [rect.get("fill") for rect in root.iter("{http://www.w3.org/2000/svg}rect")]
 
 
 @pytest.fixture

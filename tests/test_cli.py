@@ -10,6 +10,8 @@ from lingualchemy.autodiff import load_checkpoint, save_checkpoint
 from lingualchemy.cli import main
 from lingualchemy.harness import ExperimentConfig
 
+from conftest import BLUE, ORANGE, bar_fills
+
 FAST_CFG = """\
 [training]
 epochs = 2
@@ -67,6 +69,17 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus_key = 1\n", encoding="utf-8")
         assert run_cli("--config", str(bad), "train") == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("seen = syn00,syn01,syn00", "seen repeats syn00"),
+        ("unseen = syn00,syn01,syn02,syn03,syn04,syn05",
+         "no language of the default seen split")], ids=["repeat", "no_seen"])
+    def test_repeat_or_empty_default_seen_is_2(self, tmp_path, cfg_file,
+                                                capsys, line, message):
+        cfg_file.write_text(FAST_CFG + line + "\n", encoding="utf-8")
+        assert run_cli("--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                       "train") == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_list_value_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -299,6 +312,15 @@ class TestCorruptRunDir:
                        "--run-dir", str(run)) == 4
         assert "numeric failure: alignment reps hold" in capsys.readouterr().err
 
+    def test_extra_checkpoint_tensor_is_3(self, tmp_path, trained_run, capsys):
+        # a deeper model's layer would otherwise be dropped without a word
+        run = self._copy(trained_run, tmp_path)
+        weights = load_checkpoint(run / "checkpoint.lalc")
+        weights["l9.wq"] = np.zeros((2, 2), dtype=np.float32)
+        save_checkpoint(run / "checkpoint.lalc", weights.items())
+        assert run_cli("eval", "--run-dir", str(run)) == 3
+        assert "tensors the model lacks: l9.wq" in capsys.readouterr().err
+
     def test_missing_corpus_is_3(self, tmp_path, trained_run, capsys):
         # run directories written before the run kept its data have none
         run = self._copy(trained_run, tmp_path)
@@ -335,6 +357,16 @@ class TestCorruptRunDir:
         (run / "vocab.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run_cli("eval", "--run-dir", str(run)) == 3
         assert f"vocab.tsv:{len(lines)}: id" in capsys.readouterr().err
+
+    def test_swapped_reserved_vocab_ids_is_3(self, tmp_path, trained_run, capsys):
+        # every CLS position would read the <unk> row
+        run = self._copy(trained_run, tmp_path)
+        lines = (run / "vocab.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == ["<cls>\t0", "<unk>\t1"]
+        lines[:2] = ["<cls>\t1", "<unk>\t0"]
+        (run / "vocab.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("eval", "--run-dir", str(run)) == 3
+        assert "vocab.tsv:1: '<cls>' must have id 0" in capsys.readouterr().err
 
 
 def _spoil_line_2(path: Path) -> None:
@@ -375,8 +407,19 @@ def test_non_utf8_input_is_typed_error(target, code, tmp_path, cfg_file,
     assert f"{spoiled}:2: not UTF-8 text" in capsys.readouterr().err
 
 
+def assert_sweep_report(out, stem, stdout):
+    """``<stem>.csv`` and ``<stem>.svg`` hold one row and one bar per sweep
+    row, the recommended bars orange, and stdout prints each row's mean."""
+    rows = read_numeric_csv(out / f"{stem}.csv", 2)[1:]
+    assert bar_fills(out / f"{stem}.svg") == [
+        ORANGE if r[1] == "true" else BLUE for r in rows]
+    assert stdout.splitlines() == [
+        f"{r[0]}\t{float(r[2]):.4f}" + (" *" if r[1] == "true" else "")
+        for r in rows]
+
+
 class TestSweeps:
-    def test_sweep_scale_rows(self, tmp_path):
+    def test_sweep_scale_rows(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(FAST_CFG.replace("n_per_lang = 40", "n_per_lang = 24")
                        .replace("epochs = 2", "epochs = 1")
@@ -389,9 +432,10 @@ class TestSweeps:
         labels = [r[0] for r in rows[1:]]
         assert labels == ["0x", "10x", "25x", "50x", "100x",
                           "AlchemyScale", "AlchemyTune"]
-        assert (out / "scaling_sweep.svg").exists()
+        assert [r[1] for r in rows[1:]] == ["false"] * 7
+        assert_sweep_report(out, "scaling_sweep", capsys.readouterr().out)
 
-    def test_sweep_features_rows(self, tmp_path):
+    def test_sweep_features_rows(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(FAST_CFG.replace("n_per_lang = 40", "n_per_lang = 24")
                        .replace("epochs = 2", "epochs = 1")
@@ -405,6 +449,7 @@ class TestSweeps:
         flagged = [r for r in rows[1:] if r[1] == "true"]
         assert len(flagged) == 1
         assert flagged[0][0] == "syntax_knn+syntax_avg+geo"
+        assert_sweep_report(out, "feature_ablation", capsys.readouterr().out)
 
 
 class TestUnseenWithoutTestRows:

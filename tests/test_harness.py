@@ -29,7 +29,7 @@ from lingualchemy.synthlang import (UNK_ID, Example, Vocab, generate_languages,
                                     tokenize, unk_rate)
 from lingualchemy.uriel import ALL_FEATURE_SETS, FeatureSet
 
-from conftest import write_tsv
+from conftest import BLUE, ORANGE, bar_fills, write_tsv
 
 FAST = dict(n_langs=6, n_families=3, n_per_lang=40, n_classes=3,
             epochs=2, batch_size=16, seeds=(1, 2), d_model=16, max_seq_len=16,
@@ -101,6 +101,19 @@ class TestConfig:
             parse_config(path)
         assert "aa" in str(err.value) and "bb" in str(err.value)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(seeds=(1, 2, 1)), "seeds repeats 1"),
+        (dict(seen=("aa", "bb", "aa")), "seen repeats aa"),
+        (dict(unseen=("aa", "aa")), "unseen repeats aa"),
+        (dict(feature_sets=(FeatureSet.GEO, FeatureSet.GEO)), "feature_sets repeats geo"),
+        (dict(family_groups=(("aa",), ("aa", "bb", "bb"))), "family group 2 repeats bb"),
+        (dict(categories=(("aa", "x"), ("aa", "y"))), "categories repeats aa")],
+        ids=["seeds", "seen", "unseen", "feature_sets", "family_groups",
+             "categories"])
+    def test_repeated_values_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**overrides)
+
     def test_non_cumulative_groups_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("family_groups = aa,bb | aa,cc\n", encoding="utf-8")
@@ -164,6 +177,12 @@ class TestPrepareBenchmark:
         specs, _ = generate_languages(cfg.n_langs, cfg.n_families, cfg.gen_seed)
         fams = {s.family for s in specs if s.lang in bench.unseen}
         assert fams == {0, 1, 2, 3}
+
+    def test_explicit_unseen_leaves_the_default_seen_split(self):
+        # syn00 is in the default seen split; it must not be trained on too
+        bench = prepare_benchmark(fast_cfg(n_langs=9, unseen=("syn00", "syn08")))
+        assert bench.seen == ("syn01", "syn02", "syn03", "syn04", "syn05")
+        assert bench.unseen == ("syn00", "syn08")
 
     def test_unknown_language_rejected(self):
         with pytest.raises(DataError, match="zz"):
@@ -716,6 +735,10 @@ class TestExportReport:
         tree = ET.parse(tmp_path / "plot.svg")
         assert tree.getroot().tag.endswith("svg")
 
+    def test_svg_colours_unseen_languages_orange(self, tmp_path):
+        export_report(self.make_report(), tmp_path)
+        assert bar_fills(tmp_path / "plot.svg") == [BLUE, ORANGE]
+
     def test_svg_escapes_labels(self):
-        svg = svg_bar_chart(["a<b"], [0.5], ["seen"], title="x & y")
+        svg = svg_bar_chart(["a<b"], [0.5], [False], title="x & y")
         ET.fromstring(svg)

@@ -21,7 +21,7 @@ from lingualchemy.autodiff import AdamW, Tensor
 from lingualchemy.errors import ConfigError
 from lingualchemy.harness import (Benchmark, ExperimentConfig, cached_batches,
                                   make_token_batch, parse_config,
-                                  svg_bar_chart, svg_line_chart)
+                                  svg_bar_chart)
 from lingualchemy.synthlang import generate_corpus, read_corpus_tsv
 
 FIXED = [
@@ -32,7 +32,6 @@ FIXED = [
     (ad.layer_norm, {"eps"}),
     (GradientDescent, {"lr", "iters", "seed", "clip_norm"}),
     (svg_bar_chart, {"width", "height"}),
-    (svg_line_chart, {"width", "height"}),
     (Tensor, {"dtype"}),
     # classification is the only task
     (init_alchemy_model, {"task"}),
@@ -77,6 +76,20 @@ class TestOneCellRunner:
         sources = Path(harness.__file__).parent.glob("*.py")
         assert sum(path.read_text(encoding="utf-8").count("ProcessPoolExecutor(")
                    for path in sources) == 1
+
+
+class TestOneReportPath:
+    """Both sweep commands report through one CLI writer, and every chart is
+    a ``svg_bar_chart``."""
+
+    @pytest.mark.parametrize("name", ["svg_line_chart", "_svg_document"])
+    def test_one_chart_function(self, name):
+        assert not hasattr(harness, name)
+
+    def test_one_sweep_writer(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        assert source.count("export_sweep(") == 1
+        assert source.count("svg_bar_chart(") == 1
 
 
 class TestEqualShapeBinaryOps:

@@ -175,6 +175,21 @@ class TestTokenize:
             Vocab.load(path)
         assert info.value.line_no == line_no
 
+    @pytest.mark.parametrize("body, line_no, message", [
+        ("<cls>\t1\n<unk>\t0\na\t2\n", 1, "'<cls>' must have id 0"),
+        ("a\t0\n<cls>\t1\n<unk>\t2\n", 2, "'<cls>' must have id 0"),
+        ("<cls>\t0\na\t1\n", 2, "'<unk>' must have id 1"),
+        ("<cls>\t0\n", 2, "'<unk>' must have id 1"),
+    ], ids=["swapped", "shifted", "unk_absent", "one_line"])
+    def test_load_rejects_reserved_tokens_off_their_ids(self, tmp_path, body,
+                                                        line_no, message):
+        # tokenize writes CLS_ID and UNK_ID whatever the file says
+        path = tmp_path / "vocab.tsv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(TsvFormatError, match=message) as info:
+            Vocab.load(path)
+        assert info.value.line_no == line_no
+
 
 class TestUnkRate:
     def corpus_of(self, rows):
