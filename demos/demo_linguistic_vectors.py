@@ -7,6 +7,8 @@ concatenation order, missing-value masks, and nearest-language queries.
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
+import numpy as np
+
 from lingualchemy import FeatureSet, load_uriel_tsv
 
 SYNTAX = """\
@@ -31,16 +33,17 @@ with TemporaryDirectory() as tmp:
         FeatureSet.GEO: Path(tmp) / "geo.tsv",
     })
 
-print("languages:", store.list_languages())
-print("dims:", {fs.value: d for fs, d in store.dims.items()})
+print("languages:", list(store.langs))
+print("dims:", {fs.value: m.shape[1] for fs, m in store.values.items()})
 
 # geo columns are min-max scaled per dimension; syntax is validated as-is
-for lang in store.list_languages():
-    vec = store.get_vector(lang, [FeatureSet.SYNTAX_KNN, FeatureSet.GEO])
-    cells = ", ".join(f"{v:.2f}" if m else "missing"
-                      for v, m in zip(vec.values, vec.mask))
+sets = [FeatureSet.SYNTAX_KNN, FeatureSet.GEO]
+values = store.target_matrix(store.langs, sets)
+observed = np.concatenate([store.observed[fs] for fs in sets], axis=1)
+for lang, row, mask in zip(store.langs, values, observed):
+    cells = ", ".join(f"{v:.2f}" if m else "missing" for v, m in zip(row, mask))
     print(f"{lang}: [{cells}]")
 
 # tam's f1 is missing, so the tam<->nor distance uses the observed dims only
 print("\nnearest to nor:", store.nearest_languages(
-    "nor", [FeatureSet.SYNTAX_KNN, FeatureSet.GEO], k=2))
+    "nor", sets, k=2))

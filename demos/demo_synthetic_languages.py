@@ -19,7 +19,7 @@ for s in specs:
           f"{s.affix_rate:.2f}   {s.lexicon_shift:.2f}")
 
 # same-family languages sit closer in the store than cross-family ones
-sets = ALL_FEATURE_SETS
+vec = dict(zip(store.langs, store.target_matrix(store.langs, ALL_FEATURE_SETS)))
 d_in = d_out = 0.0
 n_in = n_out = 0
 fam = {s.lang: s.family for s in specs}
@@ -27,8 +27,7 @@ for a in specs:
     for b in specs:
         if a.lang >= b.lang:
             continue
-        d = np.linalg.norm(store.get_vector(a.lang, sets).values
-                           - store.get_vector(b.lang, sets).values)
+        d = np.linalg.norm(vec[a.lang] - vec[b.lang])
         if fam[a.lang] == fam[b.lang]:
             d_in, n_in = d_in + d, n_in + 1
         else:

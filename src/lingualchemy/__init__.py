@@ -7,9 +7,8 @@ multilingual corpus generator, and an experiment harness with a CLI.
 """
 
 from .alchemy import (AlchemyModel, AlchemyScale, AlchemyTune, ConstantScaling,
-                      LossBreakdown, alchemy_scale_update, combine_losses,
-                      init_alchemy_model, project_to_uriel, train_loop,
-                      train_step, uriel_loss)
+                      LossBreakdown, combine_losses, init_alchemy_model,
+                      project_to_uriel, train_loop, train_step, uriel_loss)
 from .alignment import (AlignmentFit, ClosedForm, GradientDescent,
                         SentenceRepSet, align_representations,
                         collect_sentence_reps, fit_alignment, r_squared)
@@ -23,7 +22,7 @@ from .harness import (ExperimentConfig, MetricsReport, ablation_sweep,
 from .synthlang import (Corpus, SynthLanguageSpec, Vocab, generate_corpus,
                         generate_languages, read_corpus_tsv, tokenize,
                         unk_rate, write_corpus_tsv)
-from .uriel import (ALL_FEATURE_SETS, FeatureSet, LinguisticVector, UrielStore,
-                    load_uriel_tsv, write_uriel_tsv)
+from .uriel import (ALL_FEATURE_SETS, FeatureSet, UrielStore, load_uriel_tsv,
+                    write_uriel_tsv)
 
 __version__ = "0.1.0"

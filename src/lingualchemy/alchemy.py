@@ -9,7 +9,8 @@ come from one of three scaling policies:
 * ``ConstantScaling`` -- lambda_cls fixed at 1, lambda_uriel a constant
   factor (0 recovers plain fine-tuning; 10 is the recommended default).
 * ``AlchemyScale`` -- weights start at mean(initial losses)/loss_i and are
-  periodically recomputed from exponential moving averages of the losses.
+  periodically recomputed from exponential moving averages of the losses;
+  that update is its ``weights`` method.
 * ``AlchemyTune`` -- weights are trainable scalars (softplus of raw
   parameters) regularized by a penalty on their sum drifting from 2.
 
@@ -78,7 +79,27 @@ class AlchemyScale:
     step: int = field(default=0, init=False)
 
     def weights(self, l_cls: float, l_uriel: float):
-        alchemy_scale_update(self, l_cls, l_uriel)
+        """Feed one step's losses into the state and return its weights.
+
+        A fresh state is set up from the first losses it sees, without
+        advancing ``step``: weights are set relative to their mean, so both
+        scaled terms start equal (lambda_i = mean(l_0)/l_i_0). After that the
+        losses are EMA'd every step with decay ``ALCHEMY_SCALE_DECAY``, and
+        the weights recomputed every ``ALCHEMY_SCALE_PERIOD`` steps.
+        """
+        if self.ema_cls is None:
+            if l_cls <= 0 or l_uriel <= 0:
+                raise NumericError("initial losses must be positive to balance weights")
+            self.ema_cls, self.ema_uriel = l_cls, l_uriel
+        else:
+            b = ALCHEMY_SCALE_DECAY
+            self.ema_cls = b * self.ema_cls + (1.0 - b) * l_cls
+            self.ema_uriel = b * self.ema_uriel + (1.0 - b) * l_uriel
+            self.step += 1
+        if self.step % ALCHEMY_SCALE_PERIOD == 0:
+            mean_ema = (self.ema_cls + self.ema_uriel) / 2.0
+            self.lambda_cls = mean_ema / self.ema_cls
+            self.lambda_uriel = mean_ema / self.ema_uriel
         return Tensor(self.lambda_cls), Tensor(self.lambda_uriel), None
 
     def trainable(self) -> list[Tensor]:
@@ -107,34 +128,6 @@ class AlchemyTune:
 
 
 ScalingState = ConstantScaling | AlchemyScale | AlchemyTune
-
-
-def alchemy_scale_update(state: AlchemyScale, l_cls: float, l_uriel: float) -> AlchemyScale:
-    """Feed one step's losses into the state.
-
-    A fresh state is set up from the first losses it sees, without advancing
-    ``step``: weights are set relative to their mean, so both scaled terms
-    start equal (lambda_i = mean(l_0)/l_i_0). After that the losses are
-    EMA'd every step with decay ``ALCHEMY_SCALE_DECAY``, and the weights
-    recomputed every ``ALCHEMY_SCALE_PERIOD`` steps.
-    """
-    if not isinstance(state, AlchemyScale):
-        raise TypeError(f"expected AlchemyScale state, got {type(state).__name__}")
-    if state.ema_cls is not None:
-        b = ALCHEMY_SCALE_DECAY
-        state.ema_cls = b * state.ema_cls + (1.0 - b) * l_cls
-        state.ema_uriel = b * state.ema_uriel + (1.0 - b) * l_uriel
-        state.step += 1
-        if state.step % ALCHEMY_SCALE_PERIOD != 0:
-            return state
-    else:
-        if l_cls <= 0 or l_uriel <= 0:
-            raise NumericError("initial losses must be positive to balance weights")
-        state.ema_cls, state.ema_uriel = l_cls, l_uriel
-    mean_ema = (state.ema_cls + state.ema_uriel) / 2.0
-    state.lambda_cls = mean_ema / state.ema_cls
-    state.lambda_uriel = mean_ema / state.ema_uriel
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +285,6 @@ def make_optimizer(model: AlchemyModel, scaling: ScalingState, lr: float,
 # training loop
 # ---------------------------------------------------------------------------
 
-def iterate_batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size]
-
-
 def train_loop(model: AlchemyModel, batches_fn, n_examples: int,
                store: UrielStore, sets: Sequence[FeatureSet],
                scaling: ScalingState, epochs: int, batch_size: int,
@@ -314,8 +302,8 @@ def train_loop(model: AlchemyModel, batches_fn, n_examples: int,
     global_step = 0
     for epoch in range(epochs):
         order = np.random.default_rng([seed, epoch]).permutation(n_examples)
-        for idx in iterate_batches(order, batch_size):
-            batch = batches_fn(idx)
+        for start in range(0, n_examples, batch_size):
+            batch = batches_fn(order[start:start + batch_size])
             global_step += 1
             try:
                 breakdown = train_step(model, batch, store, sets, scaling, opt)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -559,17 +560,19 @@ def save_checkpoint(path, named_params) -> None:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back as an ordered name -> float32 array mapping.
 
-    A file that is not a version-1 checkpoint, or ends inside a record,
-    raises ``DataError``.
+    A file that is not a version-1 checkpoint, ends inside a record (or
+    declares a record longer than the rest of the file), or repeats a tensor
+    name raises ``DataError``.
     """
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
         def read(n: int) -> bytes:
-            chunk = fh.read(n)
-            if len(chunk) != n:
+            # checked before reading, so a corrupt extent allocates nothing
+            if n > size - fh.tell():
                 raise DataError(f"{path}: truncated checkpoint")
-            return chunk
+            return fh.read(n)
 
         if fh.read(4) != _MAGIC:
             raise DataError(f"{path}: bad checkpoint magic")
@@ -585,9 +588,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 name = read(name_len).decode("utf-8")
             except UnicodeDecodeError:
                 raise DataError(f"{path}: corrupt checkpoint record name") from None
+            if name in out:
+                raise DataError(f"{path}: repeated checkpoint tensor {name!r}")
             (rank,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{rank}I", read(4 * rank))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape)
+            data = np.frombuffer(read(4 * math.prod(shape)), dtype="<f4").reshape(shape)
             out[name] = data.copy()
     return out

@@ -282,12 +282,6 @@ class MetricsReport:
     seed: int
     wall_time: float = 0.0
 
-    def value(self, lang: str) -> float:
-        for row_lang, _, v in self.rows:
-            if row_lang == lang:
-                return v
-        raise KeyError(lang)
-
 
 # ---------------------------------------------------------------------------
 # benchmark assembly
@@ -342,8 +336,7 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
     missing = sorted((set(seen) | set(unseen)) - set(langs))
     if missing:
         raise DataError(f"languages not present in the data: {', '.join(missing)}")
-    store_langs = set(store.list_languages())
-    absent = sorted((set(seen) | set(unseen)) - store_langs)
+    absent = sorted((set(seen) | set(unseen)) - set(store.langs))
     if absent:
         raise DataError(f"languages missing from the store: {', '.join(absent)}")
     vocab = Vocab.build(e.tokens for e in examples
@@ -749,15 +742,18 @@ def _svg_escape(text: str) -> str:
 
 
 SVG_WIDTH, SVG_HEIGHT = 640, 320   # pixel size of every chart
+LABEL_CHAR_W = 4.4   # estimated width of one label glyph: 0.55 em at font-size 8
 
 
 def svg_bar_chart(labels, values, highlighted, title) -> str:
     """Self-contained bar chart: one bar per value, orange where
-    ``highlighted`` is true and blue elsewhere."""
+    ``highlighted`` is true and blue elsewhere. If any label is estimated
+    wider than its bar's slot, odd bars' labels sit one row lower."""
     pad, axis = 40, 30
     plot_w, plot_h = SVG_WIDTH - 2 * pad, SVG_HEIGHT - 2 * pad - axis
     vmax = max(max(values, default=0.0), 1e-9)
     n = max(len(values), 1)
+    stagger = any(LABEL_CHAR_W * len(label) > plot_w / n for label in labels)
     bar_w = plot_w / n * 0.8
     gap = plot_w / n * 0.2
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
@@ -773,7 +769,8 @@ def svg_bar_chart(labels, values, highlighted, title) -> str:
         color = "#ee7733" if orange else "#4477aa"
         parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
                      f'height="{h:.2f}" fill="{color}"/>')
-        parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{pad + plot_h + 14:.2f}" '
+        label_y = pad + plot_h + (26 if stagger and i % 2 else 14)
+        parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{label_y:.2f}" '
                      f'text-anchor="middle" font-size="8">{_svg_escape(label)}</text>')
         parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{y - 3:.2f}" '
                      f'text-anchor="middle" font-size="8">{value:.3f}</text>')

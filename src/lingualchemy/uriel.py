@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,31 +31,9 @@ class FeatureSet(Enum):
     SYNTAX_AVERAGE = "syntax_average"
     GEO = "geo"
 
-    @property
-    def is_geo(self) -> bool:
-        return self is FeatureSet.GEO
-
 
 #: Combination used by default throughout the harness: all three sets.
 ALL_FEATURE_SETS = (FeatureSet.SYNTAX_KNN, FeatureSet.SYNTAX_AVERAGE, FeatureSet.GEO)
-
-
-@dataclass(frozen=True)
-class LinguisticVector:
-    """Concatenated feature values for one language plus observation mask."""
-
-    lang: str
-    values: np.ndarray
-    mask: np.ndarray
-    feature_sets: tuple[FeatureSet, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.mask):
-            raise ValueError("values and mask must have equal length")
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
 
 
 def _read_rows(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -139,7 +117,7 @@ class UrielStore:
         for fs, rows in raw.items():
             mat = np.stack([rows[lang][0] for lang in common])
             mask = np.stack([rows[lang][1] for lang in common])
-            if fs.is_geo:
+            if fs is FeatureSet.GEO:
                 mat = _normalize_geo(mat, mask)
             elif mask.any() and (mat[mask].min() < 0.0 or mat[mask].max() > 1.0):
                 raise DataError(
@@ -151,14 +129,6 @@ class UrielStore:
         return cls(langs=tuple(common), values=values, observed=observed)
 
     # -- queries ---------------------------------------------------------
-
-    def list_languages(self) -> list[str]:
-        """All languages in the store, lexicographically sorted."""
-        return list(self.langs)
-
-    @property
-    def dims(self) -> dict[FeatureSet, int]:
-        return {fs: mat.shape[1] for fs, mat in self.values.items()}
 
     def _gather(self, tables: dict[FeatureSet, np.ndarray], langs: Sequence[str],
                 sets: Sequence[FeatureSet]) -> np.ndarray:
@@ -173,16 +143,6 @@ class UrielStore:
             raise UnknownLanguageError(exc.args[0]) from None
         return np.concatenate([tables[fs][rows] for fs in sets], axis=1)
 
-    def get_vector(self, lang: str, sets: Sequence[FeatureSet]) -> LinguisticVector:
-        """Concatenate the requested feature sets, in the given order."""
-        sets = tuple(sets)
-        return LinguisticVector(
-            lang=lang,
-            values=_freeze(self._gather(self.values, [lang], sets)[0]),
-            mask=_freeze(self._gather(self.observed, [lang], sets)[0]),
-            feature_sets=sets,
-        )
-
     def nearest_languages(
         self, lang: str, sets: Sequence[FeatureSet], k: int
     ) -> list[tuple[str, float]]:
@@ -192,13 +152,14 @@ class UrielStore:
             raise ValueError("k must be positive")
         if k >= len(self.langs):
             raise ValueError(f"k={k} must be < number of languages ({len(self.langs)})")
-        query = self.get_vector(lang, sets)
+        query = self._gather(self.values, [lang], sets)[0]
         values = self._gather(self.values, self.langs, sets)
-        both = self._gather(self.observed, self.langs, sets) & query.mask
+        both = (self._gather(self.observed, self.langs, sets)
+                & self._gather(self.observed, [lang], sets)[0])
         # the norm of only the jointly observed cells: a zero-filled row would
         # sum in another order and move distances by an ulp
         scored = sorted((float(np.linalg.norm(d[b])), other)
-                        for d, b, other in zip(query.values - values, both, self.langs)
+                        for d, b, other in zip(query - values, both, self.langs)
                         if other != lang)
         return [(other, d) for d, other in scored[:k]]
 

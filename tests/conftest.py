@@ -21,6 +21,12 @@ def write_tsv(path: Path, header: list[str], rows: list[list[str]]) -> Path:
     return path
 
 
+def scale_update(state, l_cls: float, l_uriel: float):
+    """Feed one step's losses into an AlchemyScale state; returns the state."""
+    state.weights(l_cls, l_uriel)
+    return state
+
+
 ORANGE, BLUE = "#ee7733", "#4477aa"
 
 

@@ -13,10 +13,9 @@ import pytest
 
 from lingualchemy import autodiff as ad
 from lingualchemy.alchemy import (AlchemyScale, AlchemyTune, ConstantScaling,
-                                  alchemy_scale_update, combine_losses,
-                                  forward_losses, init_alchemy_model,
-                                  make_optimizer, predict_classes, train_step,
-                                  uriel_loss)
+                                  combine_losses, forward_losses,
+                                  init_alchemy_model, make_optimizer,
+                                  predict_classes, train_step, uriel_loss)
 from lingualchemy.alignment import (ClosedForm, GradientDescent,
                                     SentenceRepSet, fit_alignment)
 from lingualchemy.autodiff import AdamW, Tensor
@@ -27,7 +26,7 @@ from lingualchemy.harness import (ExperimentConfig, _run_cells,
 from lingualchemy.synthlang import Corpus, Example, Vocab, unk_rate
 from lingualchemy.uriel import ALL_FEATURE_SETS, FeatureSet, load_uriel_tsv
 
-from conftest import write_tsv
+from conftest import scale_update, write_tsv
 from gradcheck import finite_difference_grad, relative_error, sum_all
 
 
@@ -148,12 +147,12 @@ class TestCriterion2LossIdentity:
             if mode == 0:
                 scaling = ConstantScaling(float(rng.uniform(0.0, 100.0)))
             elif mode == 1:
-                scaling = alchemy_scale_update(AlchemyScale(),
-                                               float(rng.uniform(0.01, 5.0)),
-                                               float(rng.uniform(0.01, 5.0)))
+                scaling = scale_update(AlchemyScale(),
+                                       float(rng.uniform(0.01, 5.0)),
+                                       float(rng.uniform(0.01, 5.0)))
                 for _ in range(int(rng.integers(0, 5))):
-                    alchemy_scale_update(scaling, float(rng.uniform(0.01, 5)),
-                                         float(rng.uniform(0.01, 5)))
+                    scale_update(scaling, float(rng.uniform(0.01, 5)),
+                                 float(rng.uniform(0.01, 5)))
             else:
                 scaling = AlchemyTune()
                 scaling.raw_cls.data = np.asarray(rng.normal())
@@ -179,7 +178,7 @@ class TestCriterion3UrielLossOracle:
             projected = rng.normal(size=(n, 2))
             total = 0.0
             for i, lang in enumerate(langs):
-                vec = tiny_store.get_vector(lang, sets).values
+                vec = tiny_store.target_matrix([lang], sets)[0]
                 row = 0.0
                 for j in range(len(vec)):
                     row += (projected[i, j] - vec[j]) ** 2
@@ -235,14 +234,14 @@ class TestCriterion5AlchemyScale:
         for _ in range(50):
             l_cls0 = float(rng.uniform(0.01, 5.0))
             l_uriel0 = float(rng.uniform(0.01, 5.0))
-            state = alchemy_scale_update(AlchemyScale(), l_cls0, l_uriel0)
+            state = scale_update(AlchemyScale(), l_cls0, l_uriel0)
             worst_init = max(worst_init, abs(state.lambda_cls * l_cls0
                                              - state.lambda_uriel * l_uriel0))
-        state = alchemy_scale_update(AlchemyScale(), 1.7, 0.03)
+        state = scale_update(AlchemyScale(), 1.7, 0.03)
         lam0 = (state.lambda_cls, state.lambda_uriel)
         drift = 0.0
         for _ in range(1000):
-            alchemy_scale_update(state, 1.7, 0.03)
+            scale_update(state, 1.7, 0.03)
             drift = max(drift,
                         abs(state.lambda_cls - lam0[0]) / lam0[0],
                         abs(state.lambda_uriel - lam0[1]) / lam0[1])

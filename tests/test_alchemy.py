@@ -3,8 +3,7 @@ import pytest
 
 from lingualchemy import autodiff as ad
 from lingualchemy.alchemy import (ALCHEMY_SCALE_PERIOD, AlchemyScale,
-                                  AlchemyTune, ConstantScaling,
-                                  alchemy_scale_update, combine_losses,
+                                  AlchemyTune, ConstantScaling, combine_losses,
                                   init_alchemy_model, make_optimizer,
                                   project_to_uriel, train_loop, train_step,
                                   uriel_loss)
@@ -13,7 +12,7 @@ from lingualchemy.encoder import EncoderConfig, TokenBatch
 from lingualchemy.errors import NumericError, UnknownLanguageError
 from lingualchemy.uriel import FeatureSet, load_uriel_tsv
 
-from conftest import write_tsv
+from conftest import scale_update, write_tsv
 from gradcheck import check_grad
 
 SETS = [FeatureSet.SYNTAX_KNN]
@@ -120,7 +119,7 @@ class TestUrielLoss:
             projected = rng.normal(size=(4, 2))
             total = 0.0
             for i, lang in enumerate(langs):
-                vec = small_store.get_vector(lang, SETS).values
+                vec = small_store.target_matrix([lang], SETS)[0]
                 row = 0.0
                 for j in range(2):
                     row += (projected[i, j] - vec[j]) ** 2
@@ -156,9 +155,9 @@ class TestCombineLosses:
             if mode == 0:
                 scaling = ConstantScaling(float(rng.uniform(0, 100)))
             elif mode == 1:
-                scaling = alchemy_scale_update(AlchemyScale(),
-                                               float(rng.uniform(0.01, 5)),
-                                               float(rng.uniform(0.01, 5)))
+                scaling = scale_update(AlchemyScale(),
+                                       float(rng.uniform(0.01, 5)),
+                                       float(rng.uniform(0.01, 5)))
             else:
                 scaling = AlchemyTune()
             bd = combined(l_cls, l_uriel, scaling)
@@ -174,50 +173,46 @@ class TestCombineLosses:
 
 class TestAlchemyScale:
     def test_init_balances_scaled_losses(self):
-        state = alchemy_scale_update(AlchemyScale(), 1.0, 0.1)
+        state = scale_update(AlchemyScale(), 1.0, 0.1)
         assert (state.lambda_cls, state.lambda_uriel) == (0.55, 5.5)
         assert state.lambda_cls * 1.0 == pytest.approx(
             state.lambda_uriel * 0.1, abs=1e-9)
 
     def test_equal_losses_give_unit_lambdas(self):
-        state = alchemy_scale_update(AlchemyScale(), 0.7, 0.7)
+        state = scale_update(AlchemyScale(), 0.7, 0.7)
         assert state.lambda_cls == 1.0 and state.lambda_uriel == 1.0
 
     def test_ten_to_one_ratio(self):
         # initial task loss 10x the auxiliary loss -> weight ratio 10
-        state = alchemy_scale_update(AlchemyScale(), 1.0, 0.1)
+        state = scale_update(AlchemyScale(), 1.0, 0.1)
         assert state.lambda_uriel / state.lambda_cls == pytest.approx(10.0)
 
     def test_zero_loss_rejected(self):
         with pytest.raises(NumericError):
-            alchemy_scale_update(AlchemyScale(), 0.0, 0.5)
+            scale_update(AlchemyScale(), 0.0, 0.5)
 
     def test_ema_hand_value(self):
-        state = alchemy_scale_update(AlchemyScale(), 1.0, 1.0)
-        alchemy_scale_update(state, 0.5, 1.0)
+        state = scale_update(AlchemyScale(), 1.0, 1.0)
+        scale_update(state, 0.5, 1.0)
         assert state.ema_cls == pytest.approx(0.95, abs=1e-15)
 
     def test_constant_losses_fixed_point(self):
-        state = alchemy_scale_update(AlchemyScale(), 2.0, 0.5)
+        state = scale_update(AlchemyScale(), 2.0, 0.5)
         lam0 = (state.lambda_cls, state.lambda_uriel)
         for _ in range(1000):
-            alchemy_scale_update(state, 2.0, 0.5)
+            scale_update(state, 2.0, 0.5)
         assert state.lambda_cls == pytest.approx(lam0[0], rel=1e-9)
         assert state.lambda_uriel == pytest.approx(lam0[1], rel=1e-9)
 
     def test_balance_identity_at_recompute(self):
-        state = alchemy_scale_update(AlchemyScale(), 1.0, 0.25)
+        state = scale_update(AlchemyScale(), 1.0, 0.25)
         rng = np.random.default_rng(3)
         for step in range(1, 10 * ALCHEMY_SCALE_PERIOD + 1):
-            alchemy_scale_update(state, float(rng.uniform(0.1, 2)),
-                                 float(rng.uniform(0.1, 2)))
+            scale_update(state, float(rng.uniform(0.1, 2)),
+                         float(rng.uniform(0.1, 2)))
             if step % ALCHEMY_SCALE_PERIOD == 0:
                 assert state.lambda_cls * state.ema_cls == pytest.approx(
                     state.lambda_uriel * state.ema_uriel, abs=1e-9)
-
-    def test_wrong_mode_rejected(self):
-        with pytest.raises(TypeError):
-            alchemy_scale_update(ConstantScaling(1.0), 1.0, 1.0)
 
 
 class TestAlchemyTune:
@@ -258,7 +253,7 @@ class TestAlchemyTune:
 
     def test_drift_penalty_only_for_tune(self):
         assert combined(0.3, 0.2, ConstantScaling(10.0)).mini_loss is None
-        scale = alchemy_scale_update(AlchemyScale(), 0.3, 0.2)
+        scale = scale_update(AlchemyScale(), 0.3, 0.2)
         assert combined(0.3, 0.2, scale).mini_loss is None
         assert combined(0.3, 0.2, AlchemyTune()).mini_loss is not None
 

@@ -273,7 +273,7 @@ class TestCollectSentenceReps:
                                      [FeatureSet.SYNTAX_KNN])
         assert data.reps.shape[0] == 5
         np.testing.assert_array_equal(
-            data.targets[0], store.get_vector("aa", [FeatureSet.SYNTAX_KNN]).values)
+            data.targets[0], store.target_matrix(["aa"], [FeatureSet.SYNTAX_KNN])[0])
 
     def test_identical_sentences_identical_rows(self, setup):
         store, model, batch = setup

@@ -1,5 +1,6 @@
 import csv
 import shutil
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -301,6 +302,21 @@ class TestCorruptRunDir:
         (run / "checkpoint.lalc").write_bytes(b"not a checkpoint")
         assert run_cli("eval", "--run-dir", str(run)) == 3
         assert "bad checkpoint magic" in capsys.readouterr().err
+
+    def test_oversized_checkpoint_extents_are_3(self, tmp_path, trained_run, capsys):
+        # one rank-3 record whose extents claim far more data than the file holds
+        run = self._copy(trained_run, tmp_path)
+        record = struct.pack("<H", 1) + b"w" + struct.pack("<B3I", 3, *[2**32 - 1] * 3)
+        (run / "checkpoint.lalc").write_bytes(b"LALC" + struct.pack("<H", 1) + record)
+        assert run_cli("eval", "--run-dir", str(run)) == 3
+        assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_repeated_checkpoint_tensor_is_3(self, tmp_path, trained_run, capsys):
+        run = self._copy(trained_run, tmp_path)
+        weights = list(load_checkpoint(run / "checkpoint.lalc").items())
+        save_checkpoint(run / "checkpoint.lalc", weights + weights[:1])
+        assert run_cli("eval", "--run-dir", str(run)) == 3
+        assert f"repeated checkpoint tensor {weights[0][0]!r}" in capsys.readouterr().err
 
     def test_nan_parameter_align_is_4(self, tmp_path, trained_run, capsys):
         run = self._copy(trained_run, tmp_path)

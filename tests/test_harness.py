@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import hashlib
+import itertools
 import multiprocessing
 import os
 import resource
@@ -15,9 +16,9 @@ import pytest
 
 from lingualchemy.alchemy import predict_logits
 from lingualchemy.errors import ConfigError, DataError, write_csv
-from lingualchemy.harness import (ExperimentConfig, MetricsReport, SweepRow,
-                                  accuracy, build_model, cached_batches,
-                                  config_hash,
+from lingualchemy.harness import (LABEL_CHAR_W, SVG_HEIGHT, ExperimentConfig,
+                                  MetricsReport, SweepRow, accuracy,
+                                  build_model, cached_batches, config_hash,
                                   evaluate_languages, export_report,
                                   export_sweep, family_split_experiment,
                                   feature_combo_label, load_run,
@@ -305,7 +306,8 @@ class TestRunExperiment:
                        categories=(("syn08", "low"), ("syn09", "low"),
                                    ("syn10", "high")))
         report = run_experiment(cfg, seed=1, persist=False)
-        low = [report.value("syn08"), report.value("syn09")]
+        values = {lang: v for lang, _, v in report.rows}
+        low = [values["syn08"], values["syn09"]]
         assert abs(report.aggregates["cat:low"] - np.mean(low)) <= 1e-12
 
     def test_determinism_byte_identical_reports(self, tmp_path):
@@ -742,3 +744,31 @@ class TestExportReport:
     def test_svg_escapes_labels(self):
         svg = svg_bar_chart(["a<b"], [0.5], [False], title="x & y")
         ET.fromstring(svg)
+
+    @staticmethod
+    def label_rows(labels):
+        """{y: [(x, label), ...]} of the x-axis labels of a bar chart."""
+        root = ET.fromstring(svg_bar_chart(labels, [0.5] * len(labels),
+                                           [False] * len(labels), title="t"))
+        rows = {}
+        for text in root.iter("{http://www.w3.org/2000/svg}text"):
+            if text.text in labels:
+                rows.setdefault(float(text.get("y")), []).append(
+                    (float(text.get("x")), text.text))
+        return rows
+
+    def test_long_labels_stagger_without_overlap(self):
+        labels = [feature_combo_label(combo)
+                  for size in range(1, len(ALL_FEATURE_SETS) + 1)
+                  for combo in itertools.combinations(ALL_FEATURE_SETS, size)]
+        rows = self.label_rows(labels)
+        assert len(rows) == 2 and max(rows) <= SVG_HEIGHT - 40
+        for row in rows.values():
+            row.sort()
+            for (x0, a), (x1, b) in zip(row, row[1:]):
+                assert x0 + LABEL_CHAR_W * len(a) / 2 <= x1 - LABEL_CHAR_W * len(b) / 2
+
+    def test_short_labels_stay_on_one_row(self):
+        labels = [f"syn{i:02d}" for i in range(12)]
+        rows = self.label_rows(labels)
+        assert [len(row) for row in rows.values()] == [12]

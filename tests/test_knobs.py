@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import lingualchemy
+from lingualchemy import alchemy, cli, encoder, harness
 from lingualchemy import autodiff as ad
-from lingualchemy import cli, encoder, harness
 from lingualchemy.alchemy import AlchemyScale, AlchemyTune, init_alchemy_model
 from lingualchemy.alignment import GradientDescent
 from lingualchemy.autodiff import AdamW, Tensor
@@ -23,6 +24,7 @@ from lingualchemy.harness import (Benchmark, ExperimentConfig, cached_batches,
                                   make_token_batch, parse_config,
                                   svg_bar_chart)
 from lingualchemy.synthlang import generate_corpus, read_corpus_tsv
+from lingualchemy.uriel import FeatureSet, UrielStore
 
 FIXED = [
     (AdamW, {"betas", "eps"}),
@@ -90,6 +92,20 @@ class TestOneReportPath:
         source = Path(cli.__file__).read_text(encoding="utf-8")
         assert source.count("export_sweep(") == 1
         assert source.count("svg_bar_chart(") == 1
+
+
+class TestOneReadPath:
+    """A store value is read from ``langs``, ``values``/``observed`` or
+    ``target_matrix``; AlchemyScale updates in its ``weights`` method; and a
+    report's per-language value is read from its ``rows``."""
+
+    @pytest.mark.parametrize("owner, name", [
+        (UrielStore, "get_vector"), (UrielStore, "list_languages"),
+        (UrielStore, "dims"), (FeatureSet, "is_geo"),
+        (lingualchemy, "LinguisticVector"), (lingualchemy, "alchemy_scale_update"),
+        (alchemy, "iterate_batches"), (harness.MetricsReport, "value")])
+    def test_second_path_is_gone(self, owner, name):
+        assert not hasattr(owner, name)
 
 
 class TestEqualShapeBinaryOps:

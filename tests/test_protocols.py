@@ -29,7 +29,10 @@ class TestFamilySplitDirection:
             unseen=("syn08", "syn09", "syn10", "syn11"),
             family_groups=(g1, g2))
         target = "syn10"                                   # family 2, unseen
-        wins = sum(with_family.value(target) > without.value(target)
+        def acc(report):
+            return {lang: v for lang, _, v in report.rows}[target]
+
+        wins = sum(acc(with_family) > acc(without)
                    for without, with_family in family_split_experiment(cfg))
         assert wins >= 4, f"only {wins}/5 seeds improved {target}"
 

@@ -43,7 +43,7 @@ class TestGenerateLanguages:
     def test_counts_and_codes(self):
         specs, store = generate_languages(9, 3, seed=0)
         assert [s.lang for s in specs] == [f"syn{i:02d}" for i in range(9)]
-        assert store.list_languages() == sorted(s.lang for s in specs)
+        assert list(store.langs) == sorted(s.lang for s in specs)
 
     def test_family_round_robin(self):
         specs, _ = generate_languages(8, 4, seed=0)
@@ -67,9 +67,8 @@ class TestGenerateLanguages:
 
     def test_store_dims(self):
         _, store = generate_languages(6, 2, seed=0)
-        assert store.dims == {FeatureSet.SYNTAX_KNN: 3,
-                              FeatureSet.SYNTAX_AVERAGE: 3,
-                              FeatureSet.GEO: 5}
+        assert {fs: m.shape[1] for fs, m in store.values.items()} == {
+            FeatureSet.SYNTAX_KNN: 3, FeatureSet.SYNTAX_AVERAGE: 3, FeatureSet.GEO: 5}
 
     def test_store_round_trips_through_tsv(self, tmp_path):
         _, store = generate_languages(10, 3, seed=7)
@@ -83,7 +82,7 @@ class TestGenerateLanguages:
         fam = {s.lang: s.family for s in specs}
         langs = [s.lang for s in specs]
         sets = [FeatureSet.SYNTAX_KNN, FeatureSet.SYNTAX_AVERAGE]
-        vec = {l: store.get_vector(l, sets).values for l in langs}
+        vec = {l: store.target_matrix([l], sets)[0] for l in langs}
         ok = total = 0
         for a in langs:
             for b in langs:

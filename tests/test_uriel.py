@@ -12,24 +12,25 @@ class TestLoad:
         path = write_tsv(tmp_path / "geo.tsv", ["lang", "f0", "f1", "f2"],
                          [["aa", "1", "2", "3"], ["bb", "4", "5", "6"]])
         store = load_uriel_tsv({FeatureSet.GEO: path})
-        assert store.dims == {FeatureSet.GEO: 3}
-        assert store.list_languages() == ["aa", "bb"]
+        assert {fs: m.shape[1] for fs, m in store.values.items()} == {FeatureSet.GEO: 3}
+        assert list(store.langs) == ["aa", "bb"]
 
     def test_missing_cell_masked_to_zero(self, tmp_path):
         path = write_tsv(tmp_path / "s.tsv", ["lang", "f0", "f1", "f2"],
                          [["aa", "0.1", "--", "0.3"]])
         store = load_uriel_tsv({FeatureSet.SYNTAX_KNN: path})
-        vec = store.get_vector("aa", [FeatureSet.SYNTAX_KNN])
-        assert vec.values[1] == 0.0
-        assert not vec.mask[1]
-        assert vec.mask[0] and vec.mask[2]
+        values = store.target_matrix(["aa"], [FeatureSet.SYNTAX_KNN])[0]
+        mask = store.observed[FeatureSet.SYNTAX_KNN][store.langs.index("aa")]
+        assert values[1] == 0.0
+        assert not mask[1]
+        assert mask[0] and mask[2]
 
     def test_geo_min_max_normalization(self, tmp_path):
         # raw column {0, 10, 20} scales to {0, 0.5, 1}
         path = write_tsv(tmp_path / "geo.tsv", ["lang", "f0"],
                          [["aa", "0"], ["bb", "10"], ["cc", "20"]])
         store = load_uriel_tsv({FeatureSet.GEO: path})
-        values = [store.get_vector(l, [FeatureSet.GEO]).values[0]
+        values = [store.target_matrix([l], [FeatureSet.GEO])[0][0]
                   for l in ("aa", "bb", "cc")]
         assert values == [0.0, 0.5, 1.0]
 
@@ -74,7 +75,7 @@ class TestLoad:
         p2 = write_tsv(tmp_path / "b.tsv", ["lang", "f0"],
                        [["bb", "1"], ["cc", "2"]])
         store = load_uriel_tsv({FeatureSet.SYNTAX_KNN: p1, FeatureSet.GEO: p2})
-        assert store.list_languages() == ["bb"]
+        assert list(store.langs) == ["bb"]
 
     def test_syntax_values_validated_not_rescaled(self, tmp_path):
         path = write_tsv(tmp_path / "s.tsv", ["lang", "f0"], [["aa", "1.5"]])
@@ -85,7 +86,7 @@ class TestLoad:
         path = tmp_path / "geo.tsv"
         path.write_text("# comment\nlang\tf0\n\naa\t1\nbb\t3\n", encoding="utf-8")
         store = load_uriel_tsv({FeatureSet.GEO: path})
-        assert store.list_languages() == ["aa", "bb"]
+        assert list(store.langs) == ["aa", "bb"]
 
     def test_load_idempotent(self, tmp_path):
         path = write_tsv(tmp_path / "geo.tsv", ["lang", "f0", "f1"],
@@ -103,39 +104,39 @@ class TestGetVector:
         p2 = write_tsv(tmp_path / "geo.tsv", ["lang", "f0", "f1", "f2"],
                        [["aa", "1", "2", "3"]])
         store = load_uriel_tsv({FeatureSet.SYNTAX_KNN: p1, FeatureSet.GEO: p2})
-        vec = store.get_vector("aa", [FeatureSet.SYNTAX_KNN, FeatureSet.GEO])
-        assert vec.dim == 8
+        vec = store.target_matrix(["aa"], [FeatureSet.SYNTAX_KNN, FeatureSet.GEO])[0]
+        assert len(vec) == 8
 
     def test_concatenation_respects_set_order(self, geo_store, tmp_path):
         p1 = write_tsv(tmp_path / "knn.tsv", ["lang", "f0"], [["bbb", "0.9"]])
         p2 = write_tsv(tmp_path / "geo.tsv", ["lang", "f0"], [["bbb", "10"]])
         store = load_uriel_tsv({FeatureSet.SYNTAX_KNN: p1, FeatureSet.GEO: p2})
-        fwd = store.get_vector("bbb", [FeatureSet.SYNTAX_KNN, FeatureSet.GEO])
-        rev = store.get_vector("bbb", [FeatureSet.GEO, FeatureSet.SYNTAX_KNN])
-        assert fwd.values.tolist() == rev.values.tolist()[::-1]
+        fwd = store.target_matrix(["bbb"], [FeatureSet.SYNTAX_KNN, FeatureSet.GEO])[0]
+        rev = store.target_matrix(["bbb"], [FeatureSet.GEO, FeatureSet.SYNTAX_KNN])[0]
+        assert fwd.tolist() == rev.tolist()[::-1]
 
     def test_normalized_component(self, geo_store):
-        vec = geo_store.get_vector("bbb", [FeatureSet.GEO])
-        assert vec.values.tolist() == [0.0, 0.5]
+        vec = geo_store.target_matrix(["bbb"], [FeatureSet.GEO])[0]
+        assert vec.tolist() == [0.0, 0.5]
 
     def test_unknown_language_named(self, geo_store):
         with pytest.raises(UnknownLanguageError, match="zzz"):
-            geo_store.get_vector("zzz", [FeatureSet.GEO])
+            geo_store.target_matrix(["zzz"], [FeatureSet.GEO])
 
     def test_duplicate_set_rejected(self, geo_store):
         with pytest.raises(ValueError, match="duplicate"):
-            geo_store.get_vector("aaa", [FeatureSet.GEO, FeatureSet.GEO])
+            geo_store.target_matrix(["aaa"], [FeatureSet.GEO, FeatureSet.GEO])
 
     def test_empty_sets_rejected(self, geo_store):
         with pytest.raises(ValueError, match="nonempty"):
-            geo_store.get_vector("aaa", [])
+            geo_store.target_matrix(["aaa"], [])
 
 
 class TestTargetMatrix:
     def test_rows_follow_languages_with_repeats(self, geo_store):
         langs = ["ccc", "aaa", "ccc", "bbb", "aaa"]
         got = geo_store.target_matrix(langs, [FeatureSet.GEO])
-        expected = np.stack([geo_store.get_vector(lang, [FeatureSet.GEO]).values
+        expected = np.stack([geo_store.target_matrix([lang], [FeatureSet.GEO])[0]
                              for lang in langs])
         assert got.shape == (5, 2)
         np.testing.assert_array_equal(got, expected)
@@ -188,15 +189,9 @@ class TestListLanguages:
         path = write_tsv(tmp_path / "geo.tsv", ["lang", "f0"],
                          [["fra", "1"], ["amh", "2"], ["eng", "3"]])
         store = load_uriel_tsv({FeatureSet.GEO: path})
-        assert store.list_languages() == ["amh", "eng", "fra"]
-
-    def test_repeated_calls_identical(self, geo_store):
-        assert geo_store.list_languages() == geo_store.list_languages()
+        assert list(store.langs) == ["amh", "eng", "fra"]
 
     def test_store_immutable_arrays(self, geo_store):
-        vec = geo_store.get_vector("aaa", [FeatureSet.GEO])
-        with pytest.raises(ValueError):
-            vec.values[0] = 5.0
         for table in (geo_store.values, geo_store.observed):
             with pytest.raises(ValueError):
                 table[FeatureSet.GEO][0, 0] = 0
