@@ -59,6 +59,9 @@ pred_gap = np.abs(align_representations(closed, data.reps)
 print(f"mean prediction gap between the two fits: {pred_gap:.4f}")
 
 aligned = align_representations(closed, data.reps)
-pca_path = Path(tempfile.mkdtemp(prefix="lingualchemy_demo_")) / "alignment_pca.csv"
-export_alignment_pca(aligned, data.targets, data.langs, pca_path)
-print(f"wrote {pca_path} (kind,lang,pc1,pc2) for external plotting")
+with tempfile.TemporaryDirectory(prefix="lingualchemy_demo_") as tmp:
+    pca_path = Path(tmp) / "alignment_pca.csv"
+    export_alignment_pca(aligned, data.targets, data.langs, pca_path)
+    n_rows = len(pca_path.read_text(encoding="utf-8").splitlines()) - 1
+    print(f"wrote {n_rows} rows of (kind,lang,pc1,pc2) for external plotting "
+          f"to {pca_path.name}, removed on exit")

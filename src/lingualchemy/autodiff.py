@@ -1,6 +1,6 @@
 """Reverse-mode autodiff on dense numpy arrays, plus AdamW and checkpoints.
 
-Small by design: rank <= 3 tensors, the exact op set the encoder and the
+Small by design: rank <= 2 tensors, the exact op set the encoder and the
 training losses need, and a tape built implicitly through parent links.
 Gradients accumulate into the ``.grad`` of leaf tensors until explicitly
 zeroed; each call to :func:`backward` contributes one full pass, and
@@ -34,12 +34,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def is_grad_enabled() -> bool:
-    """Whether ops record the graph that :func:`backward` walks: true outside
-    :func:`no_grad`."""
-    return _grad_enabled
 
 
 class Tensor:
@@ -200,69 +194,77 @@ def softplus(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of an (m,k) or (B,m,k) tensor by a (k,n)
-    weight and an (n,) bias, as one node."""
+    """Affine map ``x @ w + b`` of (m, k) rows by a (k, n) weight and an (n,)
+    bias, as one node."""
     xd, wd = x.data, w.data
-    if xd.ndim not in (2, 3) or wd.ndim != 2:
+    if xd.ndim != 2 or wd.ndim != 2:
         raise ValueError(f"linear: unsupported ranks {xd.ndim} and {wd.ndim}")
     if xd.shape[-1] != wd.shape[0]:
         raise ValueError(f"linear: inner dims differ, {xd.shape} @ {wd.shape}")
-    k, n = wd.shape
+    n = wd.shape[1]
     if b.data.shape != (n,):
         raise ValueError(f"linear: bias shape {b.data.shape} != {(n,)}")
-    lead = tuple(range(xd.ndim - 1))
 
     def vjp(g):
-        gw = np.ascontiguousarray(xd).reshape(-1, k).T @ g.reshape(-1, n)
-        return g @ wd.T, gw, g.sum(axis=lead)
+        return g @ wd.T, xd.T @ g, g.sum(axis=0)
 
     out = xd @ wd
     out += b.data
     return _make(out, (x, w, b), vjp)
 
 
-def slice_positions(x: Tensor, stop: int) -> Tensor:
-    """(B, T, d) -> (B, stop, d): the first ``stop`` positions of each row."""
+def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """(N, d) -> (len(index), d): the rows ``x[index]``, for distinct indices."""
     def vjp(g):
         gx = np.zeros_like(x.data)
-        gx[:, :stop] = g
+        gx[index] = g
         return (gx,)
-    return _make(x.data[:, :stop].copy(), (x,), vjp)
+    return _make(x.data[index], (x,), vjp)
 
 
-def embedding(tok: Tensor, pos: Tensor, ids: np.ndarray) -> Tensor:
-    """``tok[ids] + pos[:T]`` for (B, T) token ids: token rows plus the
-    learned embedding of each position.
+def _row_sums(rows: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
+    """A zero ``shape`` array plus each row of ``g`` at its index in ``rows``,
+    each sum taken in row order from 0.0 (one ``np.bincount`` over the flat
+    ``row * d + column`` cells)."""
+    v, d = shape
+    cells = (rows.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+    return np.bincount(cells, weights=g.reshape(-1), minlength=v * d).reshape(v, d)
 
-    Token grads scatter-add back into ``tok``, each row's sum taken in batch
-    order from 0.0 (one ``np.bincount`` over the flat ``id * d + column``
-    cells); position grads sum over the batch into rows ``[:T]`` of ``pos``.
+
+def embedding(tok: Tensor, pos: Tensor, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    """``tok[id] + pos[t]`` for each unmasked position (b, t) of (B, T) token
+    ids: token rows plus the learned embedding of each position, as (N, d)
+    rows of the N unmasked positions in row-major (b, t) order.
+
+    The id and length checks read every position of ``ids``, masked or not.
+    Token and position grads scatter-add back into ``tok`` and ``pos``
+    (``_row_sums``); rows that no unmasked position reads get zero.
     """
     ids = np.asarray(ids)
-    t = ids.shape[1]
-    if t > pos.data.shape[0]:
-        raise ValueError(f"embedding: sequence length {t} exceeds "
+    mask = np.asarray(mask, dtype=bool)
+    if ids.ndim != 2 or mask.shape != ids.shape:
+        raise ValueError(f"embedding: ids {ids.shape} and mask {mask.shape} "
+                         "must be equal (B, T) arrays")
+    if ids.shape[1] > pos.data.shape[0]:
+        raise ValueError(f"embedding: sequence length {ids.shape[1]} exceeds "
                          f"max_seq_len {pos.data.shape[0]}")
     if ids.min() < 0 or ids.max() >= tok.data.shape[0]:
         raise ValueError("embedding: token id out of range of the vocabulary")
+    rows, positions = ids[mask], np.nonzero(mask)[1]
 
     def vjp(g):
-        v, d = tok.data.shape
-        cells = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
-        gt = np.bincount(cells, weights=g.reshape(-1), minlength=v * d).reshape(v, d)
-        gp = np.zeros_like(pos.data)
-        gp[:t] = g.sum(axis=0)
-        return gt, gp
+        return (_row_sums(rows, g, tok.data.shape),
+                _row_sums(positions, g, pos.data.shape))
 
-    return _make(tok.data[ids] + pos.data[:t], (tok, pos), vjp)
+    return _make(tok.data[rows] + pos.data[positions], (tok, pos), vjp)
 
 
 LAYER_NORM_EPS = 1e-5
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (``LAYER_NORM_EPS``
-    is added to the variance), then scale-shift.
+    """Normalize each row of (N, d) ``x`` to zero mean / unit variance
+    (``LAYER_NORM_EPS`` is added to the variance), then scale-shift.
 
     Forward and gradient are computed in place, into arrays of their own, in
     the operation order of the plain formulas (a mean is ``np.add.reduce``
@@ -270,6 +272,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     saved ``xhat`` and the upstream gradient are never written.
     """
     xd = x.data
+    if xd.ndim != 2:
+        raise ValueError(f"layer_norm: expects (N, d) rows, got shape {xd.shape}")
     d = xd.shape[-1]
     mu = np.add.reduce(xd, axis=-1, keepdims=True)
     mu /= d
@@ -283,10 +287,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out += beta.data
 
     def vjp(g):
-        lead = tuple(range(g.ndim - 1))
         dxhat = g * xhat
-        dgamma = dxhat.sum(axis=lead)
-        dbeta = g.sum(axis=lead)
+        dgamma = dxhat.sum(axis=0)
+        dbeta = g.sum(axis=0)
         np.multiply(g, gamma.data, out=dxhat)
         m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
         m1 /= d
@@ -304,36 +307,52 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray,
               n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of (B, Tq, d) queries over
-    (B, T, d) keys and values, Tq <= T.
+    """Multi-head scaled dot-product attention over packed rows.
 
-    Head h owns slice ``[h*hd, (h+1)*hd)`` of the last axis, hd = d / n_heads.
-    ``key_mask`` is (B, T) boolean: masked-out keys get zero weight, and each
-    query must keep at least one valid key. Returns the merged (B, Tq, d) heads.
+    ``key_mask`` is (B, T) boolean, and ``k`` and ``v`` are (N, d) rows of its
+    N unmasked positions in row-major (b, t) order. ``q`` is either such rows,
+    one query per unmasked position, or (B, d) rows that query from position
+    0 of each sequence (the CLS rows); where N = B the two are the same rows.
+    Each query attends to the unmasked keys of its own sequence and must keep
+    at least one. Head h owns slice ``[h*hd, (h+1)*hd)`` of the last axis,
+    hd = d / n_heads. Forward and gradient scatter the rows into zero-filled
+    (B, H, T, hd) heads and gather the result rows back; returns the merged
+    heads, shaped like ``q``.
     """
+    key_mask = np.asarray(key_mask, dtype=bool)
+    if key_mask.ndim != 2:
+        raise ValueError(f"attention: key_mask shape {key_mask.shape} is not (B, T)")
+    b, t = key_mask.shape
+    n = int(np.count_nonzero(key_mask))
     shape = k.data.shape
-    if len(shape) != 3 or v.data.shape != shape:
-        raise ValueError("attention: k and v must share one (B, T, d) shape")
-    b, t, d = shape
-    qs = q.data.shape
-    if len(qs) != 3 or qs[0] != b or qs[2] != d or qs[1] > t:
-        raise ValueError(f"attention: q shape {qs} is not (B, Tq, d) with "
-                         f"Tq <= T for k and v of shape {shape}")
+    if len(shape) != 2 or shape[0] != n or v.data.shape != shape:
+        raise ValueError(f"attention: k and v must share one (N, d) shape for "
+                         f"the N = {n} unmasked positions, got {shape} and "
+                         f"{v.data.shape}")
+    d = shape[1]
+    if q.data.shape not in ((n, d), (b, d)):
+        raise ValueError(f"attention: q shape {q.data.shape} is neither "
+                         f"{(n, d)} (packed rows) nor {(b, d)} (CLS rows)")
     if n_heads < 1 or d % n_heads:
         raise ValueError(f"attention: d={d} is not divisible by n_heads={n_heads}")
-    key_mask = np.asarray(key_mask, dtype=bool)
-    if key_mask.shape != (b, t):
-        raise ValueError(f"attention: key_mask shape {key_mask.shape} != {(b, t)}")
     hd = d // n_heads
     factor = 1.0 / np.sqrt(hd)
+    packed_q = q.data.shape[0] == n
 
-    def heads(x):  # (B, n, d) -> (B, H, n, hd) view
-        return x.reshape(b, x.shape[1], n_heads, hd).transpose(0, 2, 1, 3)
+    def heads(rows, packed):  # rows -> contiguous (B, H, T or 1, hd)
+        if packed:
+            grid = np.zeros((b, t, n_heads, hd))
+            grid[key_mask] = rows.reshape(n, n_heads, hd)
+        else:
+            grid = rows.reshape(b, 1, n_heads, hd)
+        return np.ascontiguousarray(grid.transpose(0, 2, 1, 3))
 
-    def merge(x):  # C order keeps the downstream bias-gradient sums bit-stable
-        return np.ascontiguousarray(np.swapaxes(x, 1, 2)).reshape(b, x.shape[2], d)
+    def merge(x, packed):  # (B, H, T or 1, hd) -> rows
+        x = np.swapaxes(x, 1, 2)
+        return (x[key_mask] if packed else x).reshape(-1, d)
 
-    qh, kh, vh = (np.ascontiguousarray(heads(x.data)) for x in (q, k, v))
+    qh = heads(q.data, packed_q)
+    kh, vh = heads(k.data, True), heads(v.data, True)
     # softmax in place: separate (B, H, Tq, T) temporaries made batch-64 eval ~2x slower
     p = qh @ np.swapaxes(kh, -1, -2)
     p *= factor
@@ -346,26 +365,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray,
     p /= p.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        gh = heads(g)
+        gh = heads(g, packed_q)
         dp = gh @ np.swapaxes(vh, -1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * factor
         dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
-        return merge(ds @ kh), merge(dk), merge(np.swapaxes(p, -1, -2) @ gh)
+        return (merge(ds @ kh, packed_q), merge(dk, True),
+                merge(np.swapaxes(p, -1, -2) @ gh, True))
 
-    return _make(merge(p @ vh), (q, k, v), vjp)
-
-
-# ---------------------------------------------------------------------------
-# pooling
-# ---------------------------------------------------------------------------
-
-def take_first_position(x: Tensor) -> Tensor:
-    """(B, T, d) -> (B, d) slice at position 0."""
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[:, 0, :] = g
-        return (gx,)
-    return _make(x.data[:, 0, :].copy(), (x,), vjp)
+    return _make(merge(p @ vh, packed_q), (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------

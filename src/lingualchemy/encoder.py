@@ -88,73 +88,24 @@ def init_encoder_params(cfg: EncoderConfig) -> dict[str, Tensor]:
     return params
 
 
-class _Padded:
-    """The recording layout: states stay (B, T, d), so the graph that
-    ``backward`` walks is the padded one, op for op."""
+def _layer(cfg: EncoderConfig, params, i: int, x: Tensor, mask: np.ndarray,
+           cls: np.ndarray | None) -> Tensor:
+    """Pre-norm layer ``i`` over ``x``, the (N, d) rows of the unmasked
+    positions of ``mask``; returns its rows, or with ``cls``, the row indices
+    of the CLS positions, the (B, d) CLS rows alone.
 
-    def __init__(self, mask: np.ndarray):
-        self.mask = mask
-
-    def rows(self, x: Tensor) -> Tensor:
-        return x
-
-    grid = rows
-
-    def cls(self, x: Tensor) -> Tensor:
-        return ad.slice_positions(x, 1) if x.shape[1] > 1 else x
-
-
-class _Packed:
-    """The forward-only layout: the unmasked positions as (N, d) rows in
-    row-major (b, t) order, so no position-wise work is spent on padding.
-
-    ``grid`` scatters rows into a zero (B, T, d) grid for attention, and
-    ``rows`` gathers them back. ``cls`` returns the CLS rows as (B, 1, d),
-    the shape the padded last layer multiplies. Each product then rounds as
-    in the padded layout, except where one layout multiplies a single row
-    (numpy's matrix-vector path) and the other several: a T = 1 batch, or a
-    B = 1 batch with only its CLS unmasked. There the two agree to rounding.
-    """
-
-    def __init__(self, mask: np.ndarray):
-        self.mask = mask
-        self._index = np.flatnonzero(mask)
-        self._cls = np.flatnonzero(self._index % mask.shape[1] == 0)
-
-    def rows(self, x: Tensor) -> Tensor:
-        return Tensor(x.data.reshape(-1, x.shape[-1])[self._index])
-
-    def grid(self, x: Tensor) -> Tensor:
-        b, t = self.mask.shape
-        out = np.zeros((b * t, x.shape[-1]))
-        out[self._index] = x.data
-        return Tensor(out.reshape(b, t, -1))
-
-    def cls(self, x: Tensor) -> Tensor:
-        return Tensor(x.data[self._cls].reshape(len(self._cls), 1, -1))
-
-
-def _layer(cfg: EncoderConfig, params, i: int, x: Tensor,
-           layout: _Padded | _Packed, cls_only: bool) -> Tensor:
-    """Pre-norm layer ``i`` over the states ``x`` in ``layout``; returns its
-    states in that layout, or (B, 1, d) CLS states with ``cls_only``.
-
-    Keys and values come from every unmasked position; with ``cls_only`` the
-    queries, the residual stream and the feed-forward block come from the CLS
-    position alone.
+    Keys and values come from every unmasked row; with ``cls`` the queries,
+    the residual stream and the feed-forward block come from the CLS rows
+    alone.
     """
     def lin(x, name):
         return ad.linear(x, params[f"l{i}.w{name}"], params[f"l{i}.b{name}"])
 
     xn = ad.layer_norm(x, params[f"l{i}.ln1_g"], params[f"l{i}.ln1_b"])
-    k, v = layout.grid(lin(xn, "k")), layout.grid(lin(xn, "v"))
-    if cls_only:
-        x, xn = layout.cls(x), layout.cls(xn)
-        heads = ad.attention(lin(xn, "q"), k, v, layout.mask, cfg.n_heads)
-    else:
-        heads = layout.rows(ad.attention(layout.grid(lin(xn, "q")), k, v,
-                                         layout.mask, cfg.n_heads))
-    x = ad.add(x, lin(heads, "o"))
+    k, v = lin(xn, "k"), lin(xn, "v")
+    if cls is not None:
+        x, xn = ad.take_rows(x, cls), ad.take_rows(xn, cls)
+    x = ad.add(x, lin(ad.attention(lin(xn, "q"), k, v, mask, cfg.n_heads), "o"))
     xn = ad.layer_norm(x, params[f"l{i}.ln2_g"], params[f"l{i}.ln2_b"])
     return ad.add(x, lin(ad.gelu(lin(xn, "_up")), "_down"))
 
@@ -165,18 +116,15 @@ def encode_cls(cfg: EncoderConfig, params: dict[str, Tensor],
     representation that the task head, the linguistic projection and
     alignment read.
 
-    Masked positions are excluded as attention keys, so they cannot
-    influence any other position. The last layer runs its query, residual
-    and feed-forward for position 0 only. While the graph is recorded the
-    states are padded (B, T, d) arrays; under ``no_grad`` they are packed
-    rows of the unmasked positions (``_Packed``), which give the same bits
-    on any batch with T > 1 and more than one unmasked position. The
-    embedding runs padded in both layouts, so its id and length checks see
-    every position.
+    Every position-wise op runs on packed (N, d) rows of the N unmasked
+    positions, recorded or not, so no work is spent on padding. Masked
+    positions are excluded as attention keys, so they cannot influence any
+    other position. The last layer runs its query, residual and feed-forward
+    for the CLS rows only.
     """
-    layout = (_Padded if ad.is_grad_enabled() else _Packed)(batch.attention_mask)
-    x = layout.rows(ad.embedding(params["tok_emb"], params["pos_emb"], batch.ids))
+    mask = batch.attention_mask
+    x = ad.embedding(params["tok_emb"], params["pos_emb"], batch.ids, mask)
+    cls = np.flatnonzero(np.flatnonzero(mask) % mask.shape[1] == 0)
     for i in range(cfg.n_layers):
-        x = _layer(cfg, params, i, x, layout, i == cfg.n_layers - 1)
-    return ad.take_first_position(
-        ad.layer_norm(x, params["ln_f_g"], params["ln_f_b"]))
+        x = _layer(cfg, params, i, x, mask, cls if i == cfg.n_layers - 1 else None)
+    return ad.layer_norm(x, params["ln_f_g"], params["ln_f_b"])

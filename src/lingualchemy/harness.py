@@ -595,9 +595,11 @@ class SweepRow:
 
 
 def _run_cell(job, benches: list[Benchmark]) -> MetricsReport:
-    """The report of a ``(cfg, seed, i)`` job, run on ``benches[i]``."""
+    """The report of a ``(cfg, seed, i)`` job, run on ``benches[i]``, without
+    its trace: every caller reads the rows and aggregates alone."""
     vcfg, seed, i = job
-    return run_experiment(vcfg, seed=seed, persist=False, benchmark=benches[i])
+    report = run_experiment(vcfg, seed=seed, persist=False, benchmark=benches[i])
+    return replace(report, trace=[])
 
 
 # A pool worker's benchmarks, set once per worker rather than sent with every

@@ -80,7 +80,11 @@ class TestCriterion1Gradients:
             return Tensor(rng.normal(size=shape), requires_grad=True)
 
         mix_ln = Tensor(rng.normal(size=(2, 5)))
-        mix_attn = Tensor(rng.normal(size=(2, 3, 4)))
+        # packed rows of the unmasked positions; row 1 keeps only its CLS
+        mask = np.array([[True, True, False], [True, False, False],
+                         [True, True, True]])
+        mix_attn = Tensor(rng.normal(size=(6, 4)))
+        mix_cls = Tensor(rng.normal(size=(3, 4)))
         sweep(lambda a, b: sum_all(ad.mul(ad.gelu(ad.add(a, b)), a)),
               lambda: (t((3, 4)), t((3, 4))))
         sweep(lambda x, w, b: sum_all(ad.linear(x, w, b)),
@@ -90,16 +94,21 @@ class TestCriterion1Gradients:
         sweep(lambda lg: ad.softmax_cross_entropy(lg, [0, 2, 1]),
               lambda: (t((3, 4)),))
         sweep(lambda p, q: ad.mse(p, q), lambda: (t((3, 4)), t((3, 4))))
-        sweep(lambda q, k, v: sum_all(ad.mul(
-                  ad.attention(q, k, v, np.array([[True, True, False],
-                                                  [True, True, True]]), 2),
-                  mix_attn)),
-              lambda: (t((2, 3, 4)), t((2, 3, 4)), t((2, 3, 4))))
+        sweep(lambda q, k, v: sum_all(ad.mul(ad.attention(q, k, v, mask, 2),
+                                             mix_attn)),
+              lambda: (t((6, 4)), t((6, 4)), t((6, 4))))
+        sweep(lambda q, k, v: sum_all(ad.mul(ad.attention(q, k, v, mask, 2),
+                                             mix_cls)),
+              lambda: (t((3, 4)), t((6, 4)), t((6, 4))))
         sweep(lambda r: sum_all(ad.softplus(r)), lambda: (t(()),))
-        ids = np.array([[0, 3, 3], [4, 1, 0]])
-        mix_emb = Tensor(rng.normal(size=(2, 3, 4)))
-        sweep(lambda tok, pos: sum_all(ad.mul(ad.embedding(tok, pos, ids), mix_emb)),
+        ids = np.array([[0, 3, 3], [4, 1, 0], [2, 3, 1]])
+        mix_emb = Tensor(rng.normal(size=(6, 4)))
+        sweep(lambda tok, pos: sum_all(ad.mul(ad.embedding(tok, pos, ids, mask),
+                                              mix_emb)),
               lambda: (t((5, 4)), t((4, 4))))
+        sweep(lambda x: sum_all(ad.mul(ad.take_rows(x, np.array([0, 2, 3])),
+                                       mix_cls)),
+              lambda: (t((6, 4)),))
 
         # full combined loss on a sub-1k-parameter model, sampled coordinates
         cfg = EncoderConfig(vocab_size=11, d_model=4, n_heads=2, n_layers=1,

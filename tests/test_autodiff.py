@@ -47,7 +47,11 @@ class TestLinear:
         with pytest.raises(ValueError, match="bias shape"):
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))),
                       Tensor(np.ones(3)))
-        # batched products live inside ad.attention; the weight is a matrix
+        # every position-wise op takes (N, d) rows; batched products live
+        # inside ad.attention
+        with pytest.raises(ValueError, match="unsupported ranks"):
+            ad.linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 3))),
+                      Tensor(np.ones(3)))
         with pytest.raises(ValueError, match="unsupported ranks"):
             ad.linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 3))),
                       Tensor(np.ones(3)))
@@ -56,12 +60,6 @@ class TestLinear:
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         b = Tensor(rng.normal(size=2), requires_grad=True)
-        run_gradcheck(lambda: ad.linear(x, w, b), [x, w, b])
-
-    def test_rank3_gradient(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=5), requires_grad=True)
         run_gradcheck(lambda: ad.linear(x, w, b), [x, w, b])
 
 
@@ -110,6 +108,11 @@ class TestLayerNorm:
         g = Tensor(rng.normal(size=5), requires_grad=True)
         b = Tensor(rng.normal(size=5), requires_grad=True)
         run_gradcheck(lambda: ad.layer_norm(x, g, b), [x, g, b], tol=1e-5)
+
+    def test_takes_rows_only(self):
+        with pytest.raises(ValueError, match=r"\(N, d\) rows"):
+            ad.layer_norm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)),
+                          Tensor(np.zeros(4)))
 
 
 class TestSoftmaxCrossEntropy:
@@ -180,58 +183,79 @@ class TestMse:
 
 
 class TestStructuralOps:
+    IDS = np.array([[0, 3, 3, 2], [6, 1, 0, 5]])
+    MASK = np.array([[True, True, False, True], [True, False, False, True]])
+
     def test_embedding_gather_and_gradient(self, rng):
         tok = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
         pos = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        ids = np.array([[0, 3, 3], [6, 1, 0]])
-        out = ad.embedding(tok, pos, ids)
-        for b in range(2):
-            for t in range(3):
-                np.testing.assert_array_equal(out.data[b, t],
-                                              tok.data[ids[b, t]] + pos.data[t])
-        run_gradcheck(lambda: ad.embedding(tok, pos, ids), [tok, pos])
-        # position rows past the sequence length get no gradient
-        ad.backward(scalarize(ad.embedding(tok, pos, ids)))
-        assert (pos.grad[3:] == 0.0).all() and (pos.grad[:3] != 0.0).all()
+        out = ad.embedding(tok, pos, self.IDS, self.MASK)
+        bs, ts = np.nonzero(self.MASK)
+        assert out.shape == (len(bs), 4)
+        for row, (b, t) in enumerate(zip(bs, ts)):
+            np.testing.assert_array_equal(out.data[row],
+                                          tok.data[self.IDS[b, t]] + pos.data[t])
+        run_gradcheck(lambda: ad.embedding(tok, pos, self.IDS, self.MASK),
+                      [tok, pos])
+        # rows that no unmasked position reads get no gradient: token 1 sits
+        # at a masked position only and token 4 nowhere; position 2 is masked
+        # in every row and position 4 lies past the length
+        ad.backward(scalarize(ad.embedding(tok, pos, self.IDS, self.MASK)))
+        assert (tok.grad[[1, 4]] == 0.0).all()
+        assert (tok.grad[[0, 2, 3, 5, 6]] != 0.0).all()
+        assert (pos.grad[[2, 4]] == 0.0).all() and (pos.grad[[0, 1, 3]] != 0.0).all()
 
     def test_embedding_token_gradient_is_a_sequential_row_sum(self, rng):
-        """Repeated ids add their rows in batch order from 0.0; an id fed
-        only a -0.0 row gets +0.0, as ``tok_grad[id] += row`` would."""
+        """Repeated ids and positions add their rows in (b, t) order from
+        0.0; a row fed only -0.0 gets +0.0, as ``grad[row] += g`` would."""
         tok = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         pos = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        ids = np.array([[2, 5, 2, 2], [0, 2, 1, 5]])
-        g = rng.normal(size=(2, 4, 3)) * 10.0 ** rng.integers(-9, 9, size=(2, 4, 3))
-        g[1, 2] = -0.0
-        expected = np.zeros_like(tok.data)
-        for i, row in zip(ids.reshape(-1), g.reshape(-1, 3)):
-            expected[i] += row
-        got, _ = ad.embedding(tok, pos, ids)._vjp(g)
-        assert np.signbit(got[1]).sum() == 0
-        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        ids = np.array([[2, 5, 2, 2], [0, 2, 1, 5], [2, 2, 4, 0]])
+        mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1], [1, 0, 1, 1]], dtype=bool)
+        n = int(mask.sum())
+        g = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-9, 9, size=(n, 3))
+        g[5] = -0.0  # the only row of token 1
+        want_tok, want_pos = np.zeros_like(tok.data), np.zeros_like(pos.data)
+        for row, (b, t) in zip(g, zip(*np.nonzero(mask))):
+            want_tok[ids[b, t]] += row
+            want_pos[t] += row
+        got_tok, got_pos = ad.embedding(tok, pos, ids, mask)._vjp(g)
+        assert np.signbit(got_tok[1]).sum() == 0
+        np.testing.assert_array_equal(got_tok.view(np.uint64), want_tok.view(np.uint64))
+        np.testing.assert_array_equal(got_pos.view(np.uint64), want_pos.view(np.uint64))
 
     def test_embedding_id_out_of_range(self):
+        # checked at masked positions too: every id must index the vocabulary
         with pytest.raises(ValueError, match="id out of range"):
             ad.embedding(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
-                         np.array([[4]]))
+                         np.array([[0, 4]]), np.array([[True, False]]))
 
     def test_embedding_sequence_longer_than_positions(self):
         with pytest.raises(ValueError, match="exceeds max_seq_len 4"):
             ad.embedding(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
-                         np.zeros((1, 5), dtype=np.int64))
+                         np.zeros((1, 5), dtype=np.int64),
+                         np.array([[True, True, False, False, False]]))
+
+    def test_embedding_mask_shape(self):
+        with pytest.raises(ValueError, match="equal"):
+            ad.embedding(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
+                         np.zeros((2, 3), dtype=np.int64), np.ones((2, 2), bool))
 
     def test_pooling_gradients(self, rng):
-        x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        run_gradcheck(lambda: ad.take_first_position(x), [x])
-        run_gradcheck(lambda: ad.slice_positions(x, 2), [x])
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        run_gradcheck(lambda: ad.take_rows(x, np.array([0, 3])), [x])
+        run_gradcheck(lambda: ad.take_rows(x, np.array([4, 1, 2])), [x])
 
 
 class TestAttention:
+    # row 1 keeps only its CLS position
     MASK = np.array([[True, True, False, True],
                      [True, False, False, False]])
 
     @staticmethod
     def reference(q, k, v, key_mask, n_heads):
-        """Plain per-head loop: softmax(q_h k_h^T / sqrt(hd)) v_h, concatenated."""
+        """Plain per-head loop on padded (B, T, d) arrays:
+        softmax(q_h k_h^T / sqrt(hd)) v_h, concatenated."""
         hd = q.shape[-1] // n_heads
         heads = []
         for h in range(n_heads):
@@ -243,71 +267,70 @@ class TestAttention:
             heads.append((e / e.sum(axis=-1, keepdims=True)) @ vh)
         return np.concatenate(heads, axis=-1)
 
-    def qkv(self, rng, shape=(2, 4, 6)):
-        return [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3)]
+    def qkv(self, rng, d=6):
+        """Packed q, k and v rows for MASK, and the padded arrays they came from."""
+        padded = [rng.normal(size=(2, 4, d)) for _ in range(3)]
+        return [Tensor(x[self.MASK], requires_grad=True) for x in padded], padded
 
     @pytest.mark.parametrize("n_heads", [1, 2, 3])
     def test_equals_per_head_reference(self, rng, n_heads):
-        q, k, v = self.qkv(rng)
+        (q, k, v), (qp, kp, vp) = self.qkv(rng)
         got = ad.attention(q, k, v, self.MASK, n_heads)
-        assert got.data.shape == (2, 4, 6)
+        assert got.data.shape == (4, 6)
         np.testing.assert_array_equal(
-            got.data, self.reference(q.data, k.data, v.data, self.MASK, n_heads))
-
-    def test_non_finite_masked_key_gets_zero_weight(self, rng):
-        q, k, v = self.qkv(rng)
-        clean = ad.attention(q, k, v, self.MASK, 2).data
-        k.data[0, 2] = np.nan
-        k.data[1, 1:] = np.inf
-        with np.errstate(invalid="ignore"):  # the masked scores themselves are nan
-            got = ad.attention(q, k, v, self.MASK, 2).data
-        np.testing.assert_array_equal(got, clean)
+            got.data, self.reference(qp, kp, vp, self.MASK, n_heads)[self.MASK])
+        cls = ad.attention(Tensor(qp[:, 0]), k, v, self.MASK, n_heads)
+        assert cls.data.shape == (2, 6)
+        np.testing.assert_array_equal(
+            cls.data, self.reference(qp[:, :1], kp, vp, self.MASK, n_heads)[:, 0])
 
     def test_rows_are_probabilities(self, rng):
         # one head, d == T, v[b, t] = e_t: each output row is that query's
         # attention distribution over the keys
         t = 4
-        q = Tensor(rng.normal(size=(2, t, t)))
-        k = Tensor(rng.normal(size=(2, t, t)))
-        v = Tensor(np.broadcast_to(np.eye(t), (2, t, t)).copy())
+        q = Tensor(rng.normal(size=(4, t)))
+        k = Tensor(rng.normal(size=(4, t)))
+        v = Tensor(np.eye(t)[np.nonzero(self.MASK)[1]])
         probs = ad.attention(q, k, v, self.MASK, n_heads=1).data
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-        assert (probs[0, :, 2] == 0.0).all()
-        assert (probs[1, :, 1:] == 0.0).all()
+        assert (probs[:3, 2] == 0.0).all()
+        np.testing.assert_array_equal(probs[3], [1.0, 0.0, 0.0, 0.0])
 
     def test_gradient_under_partial_mask(self, rng):
-        q, k, v = self.qkv(rng)
+        (q, k, v), _ = self.qkv(rng)
         run_gradcheck(lambda: ad.attention(q, k, v, self.MASK, 2), [q, k, v],
                       tol=1e-5)
 
     def test_first_query_row_equals_row_zero_of_full_result(self, rng):
-        q, k, v = self.qkv(rng)
+        (q, k, v), _ = self.qkv(rng)
         full = ad.attention(q, k, v, self.MASK, 2).data
-        first = ad.attention(Tensor(q.data[:, :1]), k, v, self.MASK, 2).data
-        assert first.shape == (2, 1, 6)
-        np.testing.assert_allclose(first, full[:, :1], rtol=0, atol=1e-12)
+        first = ad.attention(Tensor(q.data[[0, 3]]), k, v, self.MASK, 2).data
+        assert first.shape == (2, 6)
+        np.testing.assert_allclose(first, full[[0, 3]], rtol=0, atol=1e-12)
 
     def test_gradient_with_fewer_queries_than_keys(self, rng):
-        q = Tensor(rng.normal(size=(2, 1, 6)), requires_grad=True)
-        _, k, v = self.qkv(rng)
+        q = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        (_, k, v), _ = self.qkv(rng)
         run_gradcheck(lambda: ad.attention(q, k, v, self.MASK, 2), [q, k, v],
                       tol=1e-5)
 
     def test_shape_errors(self, rng):
-        q, k, v = self.qkv(rng)
+        (q, k, v), _ = self.qkv(rng)
         with pytest.raises(ValueError, match="share one"):
-            ad.attention(q, k, Tensor(np.ones((2, 4, 4))), self.MASK, 2)
+            ad.attention(q, k, Tensor(np.ones((4, 4))), self.MASK, 2)
         with pytest.raises(ValueError, match="share one"):
-            flat = Tensor(np.ones((4, 6)))
-            ad.attention(flat, flat, flat, self.MASK, 2)
-        with pytest.raises(ValueError, match="key_mask"):
+            padded = Tensor(np.ones((2, 4, 6)))
+            ad.attention(padded, padded, padded, self.MASK, 2)
+        with pytest.raises(ValueError, match="share one"):
             ad.attention(q, k, v, self.MASK[:, :3], 2)
-        with pytest.raises(ValueError, match="Tq <= T"):
-            ad.attention(Tensor(np.ones((2, 5, 6))), k, v, self.MASK, 2)
+        with pytest.raises(ValueError, match="key_mask"):
+            ad.attention(q, k, v, self.MASK[0], 2)
+        with pytest.raises(ValueError, match="neither"):
+            ad.attention(Tensor(np.ones((3, 6))), k, v, self.MASK, 2)
 
     @pytest.mark.parametrize("n_heads", [0, 4])
     def test_heads_must_divide_width(self, rng, n_heads):
-        q, k, v = self.qkv(rng)
+        (q, k, v), _ = self.qkv(rng)
         with pytest.raises(ValueError, match="not divisible"):
             ad.attention(q, k, v, self.MASK, n_heads)
 
@@ -508,7 +531,7 @@ class TestInPlaceOps:
         for arr, copy in zip([t.data for t in inputs] + [g], before):
             np.testing.assert_array_equal(arr, copy)
 
-    @pytest.mark.parametrize("shape", [(4, 5, 8), (3, 6)])
+    @pytest.mark.parametrize("shape", [(20, 8), (3, 6)])
     def test_layer_norm(self, rng, shape):
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         gamma = Tensor(rng.normal(size=shape[-1]), requires_grad=True)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lingualchemy import autodiff as ad
-from lingualchemy.encoder import (EncoderConfig, TokenBatch, _layer, _Padded,
-                                  encode_cls, init_encoder_params)
+from lingualchemy.encoder import (EncoderConfig, TokenBatch, _layer, encode_cls,
+                                  init_encoder_params)
 from lingualchemy.harness import (ExperimentConfig, build_model, eval_batches,
                                   prepare_benchmark)
 
@@ -91,6 +91,15 @@ class TestForward:
         c = encode_cls(CFG, params, batch_of([[0, 5, 7, 9]], mask=mask)).data
         assert np.abs(a - c).max() > 1e-6
 
+    def test_non_finite_row_at_a_masked_position_is_never_read(self):
+        params = init_encoder_params(CFG)
+        mask = np.array([[True, True, False, True], [True, False, False, False]])
+        batch = batch_of([[0, 5, 7, 2], [0, 7, 7, 7]], mask=mask)
+        clean = encode_cls(CFG, params, batch).data
+        params["tok_emb"].data[7] = np.nan  # token 7 sits at masked positions only
+        params["pos_emb"].data[2] = np.inf  # position 2 is masked in every row
+        np.testing.assert_array_equal(encode_cls(CFG, params, batch).data, clean)
+
     def test_id_out_of_range(self):
         params = init_encoder_params(CFG)
         with pytest.raises(ValueError, match="vocabulary"):
@@ -107,8 +116,7 @@ class TestForward:
 
 
 class TestForwardPacked(TestForward):
-    """The same checks under ``no_grad``, where ``encode_cls`` runs on packed
-    rows of the unmasked positions."""
+    """The same checks under ``no_grad``, where no graph is recorded."""
 
     @pytest.fixture(autouse=True)
     def _no_grad(self):
@@ -116,13 +124,20 @@ class TestForwardPacked(TestForward):
             yield
 
 
+def cls_rows(mask):
+    """Indices of the CLS positions among the unmasked rows of ``mask``."""
+    return np.flatnonzero(np.flatnonzero(mask) % mask.shape[1] == 0)
+
+
 def full_forward_cls(cfg, params, batch):
-    """Oracle: every layer at full length, then ``ln_f``, then position 0."""
-    x = ad.embedding(params["tok_emb"], params["pos_emb"], batch.ids)
+    """Oracle: every layer, the last one included, on the rows of every
+    unmasked position, then ``ln_f``, then the CLS rows."""
+    mask = batch.attention_mask
+    x = ad.embedding(params["tok_emb"], params["pos_emb"], batch.ids, mask)
     for i in range(cfg.n_layers):
-        x = _layer(cfg, params, i, x, _Padded(batch.attention_mask), False)
+        x = _layer(cfg, params, i, x, mask, None)
     x = ad.layer_norm(x, params["ln_f_g"], params["ln_f_b"])
-    return ad.take_first_position(x)
+    return ad.take_rows(x, cls_rows(mask))
 
 
 class TestEncodeCls:
@@ -180,8 +195,8 @@ PACKED_CASES = {
 
 
 class TestPackedLayout:
-    """Under ``no_grad`` ``encode_cls`` runs on packed rows of the unmasked
-    positions and gives what the recorded, padded forward gives."""
+    """``encode_cls`` runs on packed rows of the unmasked positions whether
+    or not the graph is recorded, so both forwards give the same bits."""
 
     @pytest.mark.parametrize("case", PACKED_CASES)
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -194,7 +209,7 @@ class TestPackedLayout:
         recorded, packed = recorded_and_packed(
             cfg, params, batch_of(ids, mask=np.array(mask, dtype=bool)))
         assert packed.shape == (len(ids), d_model)
-        np.testing.assert_allclose(packed, recorded, rtol=0, atol=1e-12)
+        assert np.array_equal(packed, recorded)
 
     def test_position_wise_work_runs_on_unmasked_rows(self, monkeypatch):
         shapes, layer_norm = [], ad.layer_norm
@@ -205,12 +220,17 @@ class TestPackedLayout:
 
         monkeypatch.setattr(ad, "layer_norm", recording_norm)
         ids, mask = PACKED_CASES["mixed"]
-        with ad.no_grad():
-            encode_cls(CFG, init_encoder_params(CFG),
-                       batch_of(ids, mask=np.array(mask, dtype=bool)))
+        batch = batch_of(ids, mask=np.array(mask, dtype=bool))
         n, d = int(np.sum(mask)), CFG.d_model
-        # layer 0 twice on rows, then the last layer's ln1, its CLS ln2, ln_f
-        assert shapes == [(n, d), (n, d), (n, d), (3, 1, d), (3, 1, d)]
+        for recorded in (True, False):
+            shapes.clear()
+            if recorded:
+                assert encode_cls(CFG, init_encoder_params(CFG), batch).requires_grad
+            else:
+                with ad.no_grad():
+                    encode_cls(CFG, init_encoder_params(CFG), batch)
+            # layer 0 twice on rows, then the last layer's ln1, its CLS ln2, ln_f
+            assert shapes == [(n, d), (n, d), (n, d), (3, d), (3, d)], recorded
 
     def test_bit_equal_on_default_benchmark(self):
         """Every forward-only batch that eval and align encode on the default
@@ -231,31 +251,37 @@ class TestPackedLayout:
 
 
 class TestPooling:
+    """The last layer takes the CLS rows out of the packed rows."""
+
+    MASK = np.array([[True, True, False, True], [True, False, False, False],
+                     [True, True, True, False]])
+
     def test_pool_cls_slice(self):
-        hidden = ad.Tensor(np.arange(12, dtype=np.float64).reshape(1, 4, 3))
-        got = ad.take_first_position(hidden)
-        assert got.data.tolist() == [[0.0, 1.0, 2.0]]
+        rows = ad.Tensor(np.arange(18, dtype=np.float64).reshape(6, 3))
+        got = ad.take_rows(rows, cls_rows(self.MASK))
+        assert got.data.tolist() == [[0.0, 1.0, 2.0], [9.0, 10.0, 11.0],
+                                     [12.0, 13.0, 14.0]]
 
     def test_pool_cls_ignores_other_positions(self):
-        base = np.zeros((1, 3, 2))
-        base[0, 0] = [1.0, 2.0]
+        base = np.zeros((6, 2))
+        base[[0, 3, 4]] = [1.0, 2.0]
         other = base.copy()
-        other[0, 1:] = 9.0
+        other[[1, 2, 5]] = 9.0
         np.testing.assert_array_equal(
-            ad.take_first_position(ad.Tensor(base)).data,
-            ad.take_first_position(ad.Tensor(other)).data)
+            ad.take_rows(ad.Tensor(base), cls_rows(self.MASK)).data,
+            ad.take_rows(ad.Tensor(other), cls_rows(self.MASK)).data)
 
     def test_pool_cls_gradient_only_into_position_zero(self):
-        hidden = ad.Tensor(np.random.default_rng(0).normal(size=(2, 3, 4)),
+        hidden = ad.Tensor(np.random.default_rng(0).normal(size=(6, 4)),
                            requires_grad=True)
-        pooled = ad.take_first_position(hidden)
-        loss = ad.mse(pooled, ad.Tensor(np.zeros((2, 4))))
+        cls = cls_rows(self.MASK)
+        loss = ad.mse(ad.take_rows(hidden, cls), ad.Tensor(np.zeros((3, 4))))
         ad.backward(loss)
-        assert np.abs(hidden.grad[:, 1:]).max() == 0.0
+        assert np.abs(hidden.grad[[1, 2, 5]]).max() == 0.0
         # finite differences confirm zero gradient at a non-CLS input
         def loss_fn():
-            return ad.mse(ad.take_first_position(hidden),
-                          ad.Tensor(np.zeros((2, 4)))).item()
+            return ad.mse(ad.take_rows(hidden, cls),
+                          ad.Tensor(np.zeros((3, 4)))).item()
         fd = finite_difference_grad(loss_fn, hidden, coords=[5, 9])
         flat_positions = fd.reshape(-1)
         assert abs(flat_positions[5]) < 1e-9 and abs(flat_positions[9]) < 1e-9

@@ -529,6 +529,19 @@ class TestSweepBenchmarkReuse:
             cfg, unseen=("syn07",), family_groups=groups, epochs=0, seeds=(1, 2)))
         assert [len(per_seed) for per_seed in reports] == [2, 2]
 
+    def test_pooled_sweep_cells_carry_no_trace(self):
+        import lingualchemy.harness as harness
+
+        cfg = fast_cfg(n_langs=9, n_families=3, n_per_lang=24, epochs=1,
+                       seeds=(1, 2), threads=2)
+        bench = prepare_benchmark(cfg)
+        reports = harness._run_cells(cfg, [bench],
+                                     [(cfg, seed, 0) for seed in cfg.seeds])
+        assert [r.trace for r in reports] == [[], []]
+        assert all(r.rows and "unseen_mean" in r.aggregates for r in reports)
+        # a run of its own keeps its trace, one row per AdamW step
+        assert run_experiment(cfg, seed=1, persist=False, benchmark=bench).trace
+
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
         import lingualchemy.harness as harness
 

@@ -149,8 +149,8 @@ class TestOneHomePerRule:
 
 
 class TestNoLayoutSwitch:
-    """The encoder's row layout follows the recording state alone: no
-    parameter, config key or flag selects packed or padded states."""
+    """The encoder has one row layout: no parameter, config key or flag
+    selects packed or padded states."""
 
     def test_encode_cls_takes_config_params_batch(self):
         assert list(inspect.signature(encoder.encode_cls).parameters) == [
