@@ -305,8 +305,9 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
     """Load user-supplied files or generate the synthetic default.
 
     Both kinds of data then take one path: labels are checked, the default
-    split applies, every listed language must be in the corpus and the
-    store, and the vocabulary is built from the seen languages' train text.
+    split applies, every seen, unseen and category language must be in the
+    corpus and every seen and unseen one in the store, and the vocabulary is
+    built from the seen languages' train text.
     """
     if bool(cfg.corpus) != bool(cfg.store_dir):
         raise ConfigError("store_dir and corpus must be supplied together")
@@ -333,10 +334,12 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
         if not seen:
             raise ConfigError("the unseen languages leave no language of the "
                               "default seen split; list the seen languages")
-    missing = sorted((set(seen) | set(unseen)) - set(langs))
+    split_langs = set(seen) | set(unseen)
+    tagged = {lang for lang, _ in cfg.categories}
+    missing = sorted((split_langs | tagged) - set(langs))
     if missing:
         raise DataError(f"languages not present in the data: {', '.join(missing)}")
-    absent = sorted((set(seen) | set(unseen)) - set(store.langs))
+    absent = sorted(split_langs - set(store.langs))
     if absent:
         raise DataError(f"languages missing from the store: {', '.join(absent)}")
     vocab = Vocab.build(e.tokens for e in examples
@@ -346,20 +349,19 @@ def prepare_benchmark(cfg: ExperimentConfig) -> Benchmark:
 
 
 # A benchmark's data files, as ``write_benchmark`` writes them.
-STORE_NAME, CORPUS_NAME, VOCAB_NAME = "store", "corpus.tsv", "vocab.tsv"
+STORE_NAME, CORPUS_NAME = "store", "corpus.tsv"
 
 
 def write_benchmark(bench: Benchmark, directory) -> list[str]:
     """Write ``bench``'s data under ``directory`` and return what was written:
-    the feature store (``STORE_NAME``), every example in order with its split
-    (``CORPUS_NAME``) and the vocabulary (``VOCAB_NAME``). ``load_run`` reads
-    them back."""
+    the feature store (``STORE_NAME``) and every example in order with its
+    split (``CORPUS_NAME``). ``load_run`` reads them back; the vocabulary is
+    not written, since ``prepare_benchmark`` rebuilds it from the corpus."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_uriel_tsv(bench.store, directory / STORE_NAME)
     write_corpus_tsv(bench.corpus.examples, directory / CORPUS_NAME)
-    bench.corpus.vocab.save(directory / VOCAB_NAME)
-    return [f"{STORE_NAME}/", CORPUS_NAME, VOCAB_NAME]
+    return [f"{STORE_NAME}/", CORPUS_NAME]
 
 
 def make_token_batch(examples: list[Example], vocab: Vocab,
@@ -486,21 +488,21 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
 def load_run(run_dir) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
     """The config (its config.resolved), benchmark and trained model of a
     directory that ``run_experiment`` persisted; the checkpoint must hold
-    every parameter, in its shape, and nothing else.
+    every parameter, in its shape and finite, and nothing else.
 
     The benchmark is the run's own ``write_benchmark`` files: corpus and
     store read as user data (``prepare_benchmark``'s label and language
-    checks included), on the saved vocabulary. The config's ``corpus`` and
-    ``store_dir`` are not read, and nothing is regenerated. A directory
-    without its corpus file raises ``OSError``.
+    checks included), with the vocabulary built from the corpus's seen train
+    text, as training built it. The config's ``corpus`` and ``store_dir``
+    are not read, and nothing is regenerated. A directory without its
+    corpus file raises ``OSError``.
     """
     run_dir = Path(run_dir)
     cfg = parse_config(run_dir / "config.resolved")
     bench = prepare_benchmark(replace(cfg, corpus=str(run_dir / CORPUS_NAME),
                                       store_dir=str(run_dir / STORE_NAME)))
-    vocab = Vocab.load(run_dir / VOCAB_NAME)
-    model = build_model(cfg, len(vocab), bench.store.vector_dim(cfg.feature_sets),
-                        cfg.seeds[0])
+    model = build_model(cfg, len(bench.corpus.vocab),
+                        bench.store.vector_dim(cfg.feature_sets), cfg.seeds[0])
     weights = load_checkpoint(run_dir / "checkpoint.lalc")
     named = model.named_parameters()
     extra = sorted(set(weights) - {name for name, _ in named})
@@ -513,8 +515,10 @@ def load_run(run_dir) -> tuple[ExperimentConfig, Benchmark, AlchemyModel]:
         if weights[name].shape != tensor.data.shape:
             raise DataError(f"checkpoint parameter {name!r} has shape "
                             f"{weights[name].shape}, expected {tensor.data.shape}")
+        if not np.isfinite(weights[name]).all():
+            raise DataError(f"checkpoint parameter {name!r} holds non-finite values")
         tensor.data = weights[name].astype(np.float64)
-    return cfg, replace(bench, corpus=replace(bench.corpus, vocab=vocab)), model
+    return cfg, bench, model
 
 
 def evaluate_languages(model, bench: Benchmark,

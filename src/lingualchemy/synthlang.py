@@ -94,40 +94,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.token_to_id)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok, idx in sorted(self.token_to_id.items(), key=lambda kv: kv[1]):
-                fh.write(f"{tok}\t{idx}\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        """Inverse of :meth:`save`: n distinct tokens with ids 0..n-1, CLS and
-        UNK at their reserved ids."""
-        lines = read_text_lines(path)
-        mapping: dict[str, int] = {}
-        line_of: dict[int, int] = {}
-        for line_no, line in enumerate(lines, start=1):
-            tok, _, idx = line.partition("\t")
-            try:
-                i = int(idx)
-            except ValueError:
-                raise TsvFormatError(path, line_no, f"expected token<TAB>id, "
-                                     f"got {line!r}") from None
-            if not 0 <= i < len(lines):
-                raise TsvFormatError(path, line_no, f"id {i} outside 0..{len(lines) - 1}")
-            if tok in mapping:
-                raise TsvFormatError(path, line_no, f"repeated token {tok!r}")
-            if i in line_of:
-                raise TsvFormatError(path, line_no, f"id {i} repeats line {line_of[i]}")
-            mapping[tok], line_of[i] = i, line_no
-        for tok, i in _RESERVED.items():
-            if mapping.get(tok) != i:
-                # the token's own line, else the line holding its id, else
-                # the line after a file too short to hold it
-                line_no = line_of.get(mapping.get(tok, i), len(lines) + 1)
-                raise TsvFormatError(path, line_no, f"{tok!r} must have id {i}")
-        return cls(token_to_id=mapping)
-
 
 def tokenize(vocab: Vocab, tokens) -> list[int]:
     """CLS-prefixed id sequence; unknown tokens map to the UNK id."""

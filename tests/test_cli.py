@@ -9,7 +9,7 @@ import pytest
 
 from lingualchemy.autodiff import load_checkpoint, save_checkpoint
 from lingualchemy.cli import main
-from lingualchemy.harness import ExperimentConfig
+from lingualchemy.harness import ExperimentConfig, load_run
 
 from conftest import BLUE, ORANGE, bar_fills
 
@@ -81,6 +81,24 @@ class TestExitCodes:
         assert run_cli("--config", str(cfg_file), "--out", str(tmp_path / "out"),
                        "train") == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, missing", [
+        ("seen = syn00,syn9", "syn9"), ("unseen = syn9,syn05", "syn9"),
+        ("categories = syn1:low,syn05:high", "syn1")],
+        ids=["seen", "unseen", "category"])
+    def test_language_absent_from_the_data_is_3(self, tmp_path, cfg_file,
+                                                capsys, monkeypatch, line,
+                                                missing):
+        # an absent category language would get no cat: aggregate, silently
+        import lingualchemy.harness as harness
+
+        cfg_file.write_text(FAST_CFG + line + "\n", encoding="utf-8")
+        monkeypatch.setattr(harness, "train_loop",
+                            lambda *args, **kwargs: pytest.fail("trained"))
+        assert run_cli("--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                       "train") == 3
+        assert capsys.readouterr().err == (
+            f"data error: languages not present in the data: {missing}\n")
 
     def test_bad_list_value_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -176,13 +194,14 @@ class TestExitCodes:
 
 
 class TestGen(object):
-    def test_writes_store_corpus_vocab(self, tmp_path, cfg_file):
+    def test_writes_store_and_corpus(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "gen"
         assert run_cli("--config", str(cfg_file), "--out", str(out), "gen") == 0
-        assert (out / "corpus.tsv").exists()
-        assert (out / "vocab.tsv").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "corpus.tsv", "languages.txt", "store"]
         for name in ("syntax_knn", "syntax_average", "geo"):
             assert (out / "store" / f"{name}.tsv").exists()
+        assert capsys.readouterr().out == f"wrote store/, corpus.tsv under {out}\n"
 
 
 class TestTrainEvalAlign:
@@ -190,9 +209,9 @@ class TestTrainEvalAlign:
         out = tmp_path / "run"
         assert run_cli("--config", str(cfg_file), "--out", str(out),
                        "train") == 0
-        for name in ("report.csv", "trace.csv", "config.resolved",
-                     "plot.svg", "checkpoint.lalc", "vocab.tsv"):
-            assert (out / name).exists(), name
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.lalc", "config.resolved", "corpus.tsv", "plot.svg",
+            "report.csv", "store", "trace.csv"]
         # mini_loss is empty when the scaling mode adds no penalty
         read_numeric_csv(out / "trace.csv", 0, blank_ok={6})
         trained = [line for line in capsys.readouterr().out.splitlines()
@@ -318,15 +337,19 @@ class TestCorruptRunDir:
         assert run_cli("eval", "--run-dir", str(run)) == 3
         assert f"repeated checkpoint tensor {weights[0][0]!r}" in capsys.readouterr().err
 
-    def test_nan_parameter_align_is_4(self, tmp_path, trained_run, capsys):
+    @pytest.mark.parametrize("command", ["eval", "align"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_parameter_is_3(self, tmp_path, trained_run, capsys,
+                                       command, value):
+        # a NaN head would predict one class for every sentence and exit 0
         run = self._copy(trained_run, tmp_path)
         weights = load_checkpoint(run / "checkpoint.lalc")
-        name = next(iter(weights))
-        weights[name].flat[0] = np.nan
+        weights["head_w"].flat[0] = value
         save_checkpoint(run / "checkpoint.lalc", weights.items())
-        assert run_cli("--out", str(tmp_path / "aligned"), "align",
-                       "--run-dir", str(run)) == 4
-        assert "numeric failure: alignment reps hold" in capsys.readouterr().err
+        assert run_cli("--out", str(tmp_path / "out"), command,
+                       "--run-dir", str(run)) == 3
+        assert capsys.readouterr().err == (
+            "data error: checkpoint parameter 'head_w' holds non-finite values\n")
 
     def test_extra_checkpoint_tensor_is_3(self, tmp_path, trained_run, capsys):
         # a deeper model's layer would otherwise be dropped without a word
@@ -357,32 +380,22 @@ class TestCorruptRunDir:
         assert run_cli("eval", "--run-dir", str(run)) == 3
         assert f"{run / 'corpus.tsv'}:3: {message}" in capsys.readouterr().err
 
-    def test_malformed_vocab_is_3(self, tmp_path, trained_run, capsys):
+    @pytest.mark.parametrize("garble", [False, True], ids=["kept", "garbled"])
+    def test_stored_vocab_file_is_not_read(self, tmp_path, trained_run, capsys,
+                                           garble):
+        # older run directories hold a vocab.tsv; the vocabulary is built
+        # from the run's corpus all the same
+        assert run_cli("eval", "--run-dir", str(trained_run)) == 0
+        expected = capsys.readouterr().out
         run = self._copy(trained_run, tmp_path)
-        with open(run / "vocab.tsv", "a", encoding="utf-8") as fh:
-            fh.write("no-tab-on-this-line\n")
-        assert run_cli("eval", "--run-dir", str(run)) == 3
-        assert "vocab.tsv" in capsys.readouterr().err
-
-    def test_vocab_id_gap_is_3(self, tmp_path, trained_run, capsys):
-        # checkpoint shapes still match; only the ids say the vocab is wrong
-        run = self._copy(trained_run, tmp_path)
-        lines = (run / "vocab.tsv").read_text(encoding="utf-8").splitlines()
-        tok, idx = lines[-1].split("\t")
-        lines[-1] = f"{tok}\t{int(idx) + 5}"
-        (run / "vocab.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert run_cli("eval", "--run-dir", str(run)) == 3
-        assert f"vocab.tsv:{len(lines)}: id" in capsys.readouterr().err
-
-    def test_swapped_reserved_vocab_ids_is_3(self, tmp_path, trained_run, capsys):
-        # every CLS position would read the <unk> row
-        run = self._copy(trained_run, tmp_path)
-        lines = (run / "vocab.tsv").read_text(encoding="utf-8").splitlines()
-        assert lines[:2] == ["<cls>\t0", "<unk>\t1"]
-        lines[:2] = ["<cls>\t1", "<unk>\t0"]
-        (run / "vocab.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert run_cli("eval", "--run-dir", str(run)) == 3
-        assert "vocab.tsv:1: '<cls>' must have id 0" in capsys.readouterr().err
+        _, bench, _ = load_run(run)
+        data = "".join(f"{tok}\t{i}\n" for tok, i in
+                       bench.corpus.vocab.token_to_id.items()).encode("utf-8")
+        if garble:  # swapped reserved ids, a line with no id, bytes not UTF-8
+            data = b"<cls>\t1\n<unk>\t0\nno-tab\n\xff\xfe" + data[::-1]
+        (run / "vocab.tsv").write_bytes(data)
+        assert run_cli("eval", "--run-dir", str(run)) == 0
+        assert capsys.readouterr().out == expected
 
 
 def _spoil_line_2(path: Path) -> None:
@@ -393,19 +406,13 @@ def _spoil_line_2(path: Path) -> None:
 
 
 @pytest.mark.parametrize("target, code", [
-    ("config", 2), ("vocab", 3), ("corpus", 3), ("store", 3)])
+    ("config", 2), ("corpus", 3), ("store", 3)])
 def test_non_utf8_input_is_typed_error(target, code, tmp_path, cfg_file,
-                                       trained_run, capsys):
+                                       capsys):
     if target == "config":
         _spoil_line_2(cfg_file)
         argv = ["--config", str(cfg_file), "train"]
         spoiled = cfg_file
-    elif target == "vocab":
-        run = tmp_path / "run"
-        shutil.copytree(trained_run, run)
-        spoiled = run / "vocab.tsv"
-        _spoil_line_2(spoiled)
-        argv = ["eval", "--run-dir", str(run)]
     else:
         gen = tmp_path / "gen"
         assert run_cli("--config", str(cfg_file), "--out", str(gen), "gen") == 0

@@ -233,15 +233,14 @@ class TestPrepareBenchmark:
         cfg = fast_cfg(n_langs=9, n_families=3)
         bench = prepare_benchmark(cfg)
         written = write_benchmark(bench, tmp_path / "data")
-        assert written == ["store/", "corpus.tsv", "vocab.tsv"]
+        assert written == ["store/", "corpus.tsv"]
         assert sorted(p.name for p in (tmp_path / "data").iterdir()) == \
-               ["corpus.tsv", "store", "vocab.tsv"]
+               ["corpus.tsv", "store"]
         reread = prepare_benchmark(replace(
             cfg, corpus=str(tmp_path / "data" / "corpus.tsv"),
             store_dir=str(tmp_path / "data" / "store"), seen=bench.seen,
             unseen=bench.unseen))
-        assert reread == bench
-        assert Vocab.load(tmp_path / "data" / "vocab.tsv") == bench.corpus.vocab
+        assert reread == bench  # the vocabulary included
 
     def test_default_corpus_digest_pinned(self):
         """The default synthetic corpus and vocab, down to every token."""
@@ -289,9 +288,9 @@ class TestRunExperiment:
         tags = {t for _, t, _ in report.rows}
         assert tags == {"seen", "unseen"}
         run_dir = tmp_path / "out" / "run_seed1"
-        for name in ("report.csv", "trace.csv", "config.resolved",
-                     "plot.svg", "vocab.tsv", "checkpoint.lalc"):
-            assert (run_dir / name).exists(), name
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "checkpoint.lalc", "config.resolved", "corpus.tsv", "plot.svg",
+            "report.csv", "store", "trace.csv"]
 
     def test_aggregates_are_means(self, tmp_path):
         cfg = fast_cfg(n_langs=12, n_families=4)

@@ -23,7 +23,7 @@ from lingualchemy.errors import ConfigError
 from lingualchemy.harness import (Benchmark, ExperimentConfig, cached_batches,
                                   make_token_batch, parse_config,
                                   svg_bar_chart)
-from lingualchemy.synthlang import generate_corpus, read_corpus_tsv
+from lingualchemy.synthlang import Vocab, generate_corpus, read_corpus_tsv
 from lingualchemy.uriel import FeatureSet, UrielStore
 
 FIXED = [
@@ -96,14 +96,17 @@ class TestOneReportPath:
 
 class TestOneReadPath:
     """A store value is read from ``langs``, ``values``/``observed`` or
-    ``target_matrix``; AlchemyScale updates in its ``weights`` method; and a
-    report's per-language value is read from its ``rows``."""
+    ``target_matrix``; AlchemyScale updates in its ``weights`` method; a
+    report's per-language value is read from its ``rows``; and a run's
+    vocabulary is built from its corpus by ``prepare_benchmark``, never
+    written or read as a file."""
 
     @pytest.mark.parametrize("owner, name", [
         (UrielStore, "get_vector"), (UrielStore, "list_languages"),
         (UrielStore, "dims"), (FeatureSet, "is_geo"),
         (lingualchemy, "LinguisticVector"), (lingualchemy, "alchemy_scale_update"),
-        (alchemy, "iterate_batches"), (harness.MetricsReport, "value")])
+        (alchemy, "iterate_batches"), (harness.MetricsReport, "value"),
+        (Vocab, "save"), (Vocab, "load"), (harness, "VOCAB_NAME")])
     def test_second_path_is_gone(self, owner, name):
         assert not hasattr(owner, name)
 

@@ -152,42 +152,13 @@ class TestTokenize:
     def test_empty_is_cls_only(self):
         assert tokenize(self.VOCAB, []) == [0]
 
-    def test_ids_dense_and_reload_stable(self, tmp_path):
+    def test_ids_dense_and_reload_stable(self):
+        # a run's vocabulary is rebuilt from its corpus, in whatever order
+        # the text is read back
         vocab = Vocab.build([["tok_c", "tok_a"], ["tok_b"]])
         ids = sorted(vocab.token_to_id.values())
         assert ids == list(range(len(vocab)))
-        path = tmp_path / "vocab.tsv"
-        vocab.save(path)
-        assert Vocab.load(path).token_to_id == vocab.token_to_id
-
-    @pytest.mark.parametrize("body, line_no, message", [
-        ("<cls>\t0\n<unk>\t1\na\t7\n", 3, "outside 0..2"),
-        ("<cls>\t0\n<unk>\t1\na\t1\n", 3, "id 1 repeats line 2"),
-        ("<cls>\t0\na\t1\na\t2\n", 3, "repeated token .a."),
-        ("<cls>\t0\n<unk>\t-1\na\t2\n", 2, "outside 0..2"),
-    ])
-    def test_load_rejects_ids_that_are_not_dense(self, tmp_path, body,
-                                                 line_no, message):
-        path = tmp_path / "vocab.tsv"
-        path.write_text(body, encoding="utf-8")
-        with pytest.raises(TsvFormatError, match=message) as info:
-            Vocab.load(path)
-        assert info.value.line_no == line_no
-
-    @pytest.mark.parametrize("body, line_no, message", [
-        ("<cls>\t1\n<unk>\t0\na\t2\n", 1, "'<cls>' must have id 0"),
-        ("a\t0\n<cls>\t1\n<unk>\t2\n", 2, "'<cls>' must have id 0"),
-        ("<cls>\t0\na\t1\n", 2, "'<unk>' must have id 1"),
-        ("<cls>\t0\n", 2, "'<unk>' must have id 1"),
-    ], ids=["swapped", "shifted", "unk_absent", "one_line"])
-    def test_load_rejects_reserved_tokens_off_their_ids(self, tmp_path, body,
-                                                        line_no, message):
-        # tokenize writes CLS_ID and UNK_ID whatever the file says
-        path = tmp_path / "vocab.tsv"
-        path.write_text(body, encoding="utf-8")
-        with pytest.raises(TsvFormatError, match=message) as info:
-            Vocab.load(path)
-        assert info.value.line_no == line_no
+        assert Vocab.build([["tok_b"], ["tok_a", "tok_c", "tok_a"]]) == vocab
 
 
 class TestUnkRate:
